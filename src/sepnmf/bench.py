@@ -2,13 +2,15 @@
 
 fig1     approximation error of the seeded-column rank-k engine across a
          noise grid and power exponents.
-fig2     recovery rate of the selector family across the same grid.
+fig2     recovery rate of the selector family across the same grid; the
+         same grid run (`selector_grid`) backs `select --instances`.
 tab2     wall time and error of the rank-k engines against the truncated
          SVD on wide shapes.
 kernels  numba backend against the pure-numpy fallback on the hot kernels.
 
 Every row carries enough seeds to reproduce it. Suites emit CSV + JSON
-plus a plain-text summary. Instance-level work can fan out over
+plus a plain-text summary; each CSV row is the mean of its cell's
+records (`_cell_means`). Instance-level work can fan out over
 processes (--jobs); results are reassembled in task order so the output
 does not depend on the worker count.
 """
@@ -26,15 +28,9 @@ from .linalg import spectral_norm, svd_truncated
 from .lowrank import rand_subspace_approx, spa_rank_approx
 from .metrics import recovery_rate
 from .rng import SplitMix64
-from .select import (
-    erspa_select,
-    merspa_select,
-    mpspa_select,
-    prewhiten_spa_select,
-    pspa_select,
-    spaspa_select,
-)
-from .spa import spa_select
+# perfbench/tracing.py times the grid runs' selector calls as bench.run_selector
+from .select import DEFAULT_EPS
+from .select import select as run_selector
 from .synth import generate_instance, rescale_noise, sigma_min
 
 DELTA_GRID = [round(0.1 * i, 1) for i in range(21)]  # multipliers of sigma_min(F)
@@ -71,27 +67,14 @@ def _run_tasks(tasks, worker, jobs):
         return list(pool.map(worker, tasks, chunksize=1))
 
 
-def run_selector(A, method, k, q, eps=1e-6, boundary_tol=1e-3):
-    """Dispatch one selector by CLI name; returns its SelectorResult-like indices."""
-    if method == "spa":
-        t0 = time.perf_counter()
-        idx = spa_select(A, k)
-        return idx, {"spa": time.perf_counter() - t0}, ()
-    if method == "pspa":
-        r = pspa_select(A, k, eps)
-    elif method == "mpspa":
-        r = mpspa_select(A, k, 10 if q is None else q, eps)
-    elif method == "erspa":
-        r = erspa_select(A, k, eps, boundary_tol)
-    elif method == "merspa":
-        r = merspa_select(A, k, 10 if q is None else q, eps, boundary_tol)
-    elif method == "prewhiten":
-        r = prewhiten_spa_select(A, k)
-    elif method == "spaspa":
-        r = spaspa_select(A, k)
-    else:
-        raise ValueError(f"unknown selector {method!r}")
-    return r.indices, r.timing, r.notes
+def _cell_means(records, keys, cells, fields):
+    """For each cell, a tuple of values of `keys` in output order, the mean
+    of each of `fields` over the records in that cell."""
+    means = []
+    for cell in cells:
+        sel = [r for r in records if tuple(r[key] for key in keys) == cell]
+        means.append(tuple(float(np.mean([r[f] for r in sel])) for f in fields))
+    return means
 
 
 def _fig1_worker(task):
@@ -124,16 +107,11 @@ def fig1_suite(out_dir, scale="desk", seed=0, jobs=1, q_list=None, deltas=None, 
     deltas = deltas if deltas is not None else DELTA_GRID
     tasks = [(d, m, k, seed * 100_003 + i, tuple(q_list), tuple(deltas)) for i in range(n_inst)]
     records = [row for rows in _run_tasks(tasks, _fig1_worker, jobs) for row in rows]
-    csv_rows = []
-    for t in deltas:
-        for q in q_list:
-            sel = [r for r in records if r["delta_mult"] == t and r["q"] == q]
-            mean_err = float(np.mean([r["abs_error"] for r in sel]))
-            mean_delta = float(np.mean([r["delta"] for r in sel]))
-            csv_rows.append((mean_delta, q, mean_err, mean_delta))
+    cells = [(t, q) for t in deltas for q in q_list]
+    means = _cell_means(records, ("delta_mult", "q"), cells, ("delta", "abs_error"))
+    csv_rows = [(delta, q, err, delta) for (_, q), (delta, err) in zip(cells, means)]
     _emit(
-        out_dir,
-        "fig1",
+        os.path.join(out_dir, "fig1.csv"),
         ["delta", "q", "mean_abs_error", "best_error_upper"],
         csv_rows,
         {"shape": [d, m, k], "instances": n_inst, "seed": seed, "records": records},
@@ -142,27 +120,55 @@ def fig1_suite(out_dir, scale="desk", seed=0, jobs=1, q_list=None, deltas=None, 
 
 
 def _fig2_worker(task):
-    d, m, k, seed, methods, deltas, eps = task
+    d, m, k, seed, methods, deltas, eps, unit = task
     base = generate_instance(d, m, k, 1.0, seed)
-    smin = sigma_min(base.F)
+    scale = sigma_min(base.F) if unit == "sigmin" else 1.0
     rows = []
     for t in deltas:
-        inst = rescale_noise(base, t * smin)
+        inst = rescale_noise(base, t * scale)
         for method, q in methods:
-            idx, timing, notes = run_selector(inst.A, method, k, q, eps)
+            res = run_selector(inst.A, k, method, q, eps)
             rows.append(
                 {
                     "delta_mult": t,
                     "delta": inst.delta,
                     "method": method,
                     "q": q,
-                    "recovery_rate": recovery_rate(idx, inst.true_indices),
+                    "recovery_rate": recovery_rate(res.indices, inst.true_indices),
                     "seed": seed,
-                    "timing": timing,
-                    "notes": list(notes),
+                    "timing": res.timing,
+                    "notes": list(res.notes),
                 }
             )
     return rows
+
+
+def selector_grid(csv_path, d, m, k, seed, instances, methods, deltas, eps=DEFAULT_EPS,
+                  unit="sigmin", jobs=1):
+    """Mean recovery rate of each (delta, method, q) cell over seeded instances.
+
+    deltas are multipliers of each instance's sigma_min(F) (unit "sigmin")
+    or absolute noise norms (unit "abs"). Writes csv_path and the records
+    as JSON beside it; returns (csv_rows, records).
+    """
+    tasks = [
+        (d, m, k, seed * 100_003 + i, tuple(methods), tuple(deltas), eps, unit)
+        for i in range(instances)
+    ]
+    records = [row for rows in _run_tasks(tasks, _fig2_worker, jobs) for row in rows]
+    cells = [(t, method, q) for t in deltas for method, q in methods]
+    means = _cell_means(records, ("delta_mult", "method", "q"), cells, ("delta", "recovery_rate"))
+    csv_rows = [
+        (delta, method, "" if q is None else q, rec)
+        for (_, method, q), (delta, rec) in zip(cells, means)
+    ]
+    _emit(
+        csv_path,
+        ["delta", "method", "q", "mean_recovery"],
+        csv_rows,
+        {"shape": [d, m, k], "instances": instances, "seed": seed, "records": records},
+    )
+    return csv_rows, records
 
 
 def fig2_suite(
@@ -173,36 +179,19 @@ def fig2_suite(
     methods=None,
     deltas=None,
     instances=None,
-    eps=1e-6,
+    eps=DEFAULT_EPS,
 ):
     cfg = _SCALES[scale]
-    d, m, k = cfg["fig_shape"]
-    n_inst = instances or cfg["fig_instances"]
-    methods = methods or FIG2_METHODS
-    deltas = deltas if deltas is not None else DELTA_GRID
-    tasks = [
-        (d, m, k, seed * 100_003 + i, tuple(methods), tuple(deltas), eps) for i in range(n_inst)
-    ]
-    records = [row for rows in _run_tasks(tasks, _fig2_worker, jobs) for row in rows]
-    csv_rows = []
-    for t in deltas:
-        for method, q in methods:
-            sel = [
-                r
-                for r in records
-                if r["delta_mult"] == t and r["method"] == method and r["q"] == q
-            ]
-            mean_delta = float(np.mean([r["delta"] for r in sel]))
-            mean_rec = float(np.mean([r["recovery_rate"] for r in sel]))
-            csv_rows.append((mean_delta, method, "" if q is None else q, mean_rec))
-    _emit(
-        out_dir,
-        "fig2",
-        ["delta", "method", "q", "mean_recovery"],
-        csv_rows,
-        {"shape": [d, m, k], "instances": n_inst, "seed": seed, "records": records},
+    return selector_grid(
+        os.path.join(out_dir, "fig2.csv"),
+        *cfg["fig_shape"],
+        seed,
+        instances or cfg["fig_instances"],
+        methods or FIG2_METHODS,
+        deltas if deltas is not None else DELTA_GRID,
+        eps,
+        jobs=jobs,
     )
-    return csv_rows, records
 
 
 def _tab2_worker(task):
@@ -253,25 +242,16 @@ def tab2_suite(out_dir, scale="desk", seed=0, jobs=1, reps=3, delta_mult=1.0, q=
         for rep in range(reps)
     ]
     records = [row for rows in _run_tasks(tasks, _tab2_worker, jobs) for row in rows]
-    csv_rows = []
-    for d, m, k in shapes:
-        for method in ("spa", "rand", "svd"):
-            sel = [r for r in records if (r["d"], r["m"], r["method"]) == (d, m, method)]
-            csv_rows.append(
-                (
-                    d,
-                    m,
-                    k,
-                    method,
-                    "" if method == "svd" else q,
-                    float(np.mean([r["time_seconds"] for r in sel])),
-                    float(np.mean([r["abs_error"] for r in sel])),
-                    float(np.mean([r["rel_error"] for r in sel])),
-                )
-            )
+    cells = [(d, m, k, method) for d, m, k in shapes for method in ("spa", "rand", "svd")]
+    means = _cell_means(
+        records, ("d", "m", "k", "method"), cells, ("time_seconds", "abs_error", "rel_error")
+    )
+    csv_rows = [
+        (d, m, k, method, "" if method == "svd" else q, *mean)
+        for (d, m, k, method), mean in zip(cells, means)
+    ]
     _emit(
-        out_dir,
-        "tab2",
+        os.path.join(out_dir, "tab2.csv"),
         ["d", "m", "k", "method", "q", "mean_time_s", "mean_abs_error", "mean_rel_error"],
         csv_rows,
         {"shapes": shapes, "reps": reps, "seed": seed, "q": q, "records": records},
@@ -331,8 +311,7 @@ def kernels_suite(out_dir, scale="desk", seed=0, jobs=1, repeats=3):
         )
         records.append({"kernel": name, "shape": shape, "seed": seed, "times": times})
     _emit(
-        out_dir,
-        "kernels",
+        os.path.join(out_dir, "kernels.csv"),
         ["kernel", "shape", "numpy_best_s", "numba_best_s", "speedup"],
         csv_rows,
         {"repeats": repeats, "seed": seed, "records": records},
@@ -346,10 +325,10 @@ def _timed(load, fn):
     return time.perf_counter() - t0
 
 
-def _emit(out_dir, name, header, csv_rows, meta):
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv_rows(os.path.join(out_dir, f"{name}.csv"), header, csv_rows)
-    write_json(os.path.join(out_dir, f"{name}.json"), meta)
+def _emit(csv_path, header, csv_rows, meta):
+    os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
+    write_csv_rows(csv_path, header, csv_rows)
+    write_json(os.path.splitext(csv_path)[0] + ".json", meta)
 
 
 SUITES = {

@@ -30,9 +30,8 @@ from .lowrank import bound_report, rand_subspace_approx, spa_rank_approx
 from .metrics import estimate_abundances, recovery_rate, spectral_angle_distance
 from .reports import ExperimentReport, write_report
 from .rng import RNG_NAME
+from .select import DEFAULT_Q, SELECTOR_NAMES, resolve_q, select
 from .synth import generate_instance, robust_noise_bound, sigma_min
-
-SELECTOR_NAMES = ("spa", "pspa", "mpspa", "erspa", "merspa", "prewhiten", "spaspa")
 
 
 def _global_flags(parser, suppress):
@@ -64,7 +63,8 @@ def build_parser():
     s.add_argument("-m", type=int, required=True)
     s.add_argument("-k", type=int, required=True)
     s.add_argument("--delta", type=float, default=0.0, help="spectral norm of the noise")
-    s.add_argument("--alpha", type=str, help="comma list of k Dirichlet parameters in (0,1]")
+    s.add_argument("--alpha", type=_float_list,
+                   help="comma list of k Dirichlet parameters in (0,1]")
     s.add_argument("-o", "--out", required=True, help="output directory")
     s.set_defaults(func=cmd_synth)
 
@@ -82,35 +82,38 @@ def build_parser():
     c = sub.add_parser("select", help="column selection, single matrix or seeded batch", parents=[common])
     c.add_argument("matrix", nargs="?", help="matrix file (omit in batch mode)")
     c.add_argument("-k", type=int, required=True)
-    c.add_argument("--method", default="spa", help="|".join(SELECTOR_NAMES))
-    c.add_argument("--q", type=int, help="power exponent for mpspa/merspa (default 10)")
+    c.add_argument("--method", choices=SELECTOR_NAMES, default="spa")
+    c.add_argument("--q", type=int, help=f"power exponent for mpspa/merspa (default {DEFAULT_Q})")
     c.add_argument("--boundary-tol", type=float, default=1e-3)
     c.add_argument("--truth", help="meta.json with ground-truth indices")
     c.add_argument("--report", help="output report JSON")
     c.add_argument("--instances", type=int, help="batch mode: instances per grid cell")
     c.add_argument("-d", type=int, help="batch mode: rows")
     c.add_argument("-m", type=int, help="batch mode: columns")
-    c.add_argument("--deltas", type=str, default="0,0.5,1.0,1.5,2.0", help="batch noise grid")
+    c.add_argument("--deltas", type=_float_list, default="0,0.5,1.0,1.5,2.0",
+                   help="batch noise grid")
     c.add_argument(
         "--delta-unit",
         choices=("sigmin", "abs"),
         default="sigmin",
         help="deltas are multipliers of sigma_min(F) or absolute",
     )
-    c.add_argument("--methods", type=str, help="batch methods, e.g. spa,pspa,mpspa:1,mpspa:15")
+    c.add_argument("--methods", type=_method_list,
+                   help="batch methods, e.g. spa,pspa,mpspa:1,mpspa:15")
     c.add_argument("--out", help="batch mode: output CSV")
     c.set_defaults(func=cmd_select)
 
     u = sub.add_parser("unmix", help="endmember extraction + abundance maps", parents=[common])
     u.add_argument("matrix", help="bands x pixels matrix file")
     u.add_argument("-k", type=int, required=True)
-    u.add_argument("--method", default="pspa", help="|".join(SELECTOR_NAMES))
+    u.add_argument("--method", choices=SELECTOR_NAMES, default="pspa")
     u.add_argument("--q", type=int)
     u.add_argument("--meta", help="sidecar JSON with height/width (default <matrix>.json)")
     u.add_argument("--library", help="CSV of reference spectra (header = material names)")
     u.add_argument("--drop-bands", type=str, help="1-based bands to drop, e.g. 1-4,76,101-111")
     u.add_argument("--rasters", action="store_true", help="require PGM abundance rasters")
-    u.add_argument("--expect-match", metavar="METHOD", help="exit 0 iff this method picks the same set")
+    u.add_argument("--expect-match", choices=SELECTOR_NAMES, metavar="METHOD",
+                   help="exit 0 iff this method picks the same set")
     u.add_argument("--out", required=True, help="output directory")
     u.set_defaults(func=cmd_unmix)
 
@@ -148,12 +151,35 @@ def _params_from(args):
     return {k: getattr(args, k, None) for k in keys if getattr(args, k, None) is not None}
 
 
-def _parse_floats(text):
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _float_list(text):
+    """Comma list of numbers (an argparse type)."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
+
+
+def _method_list(text):
+    """Comma list of selector names, each optionally NAME:Q (an argparse type)."""
+    methods = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        name, _, qtxt = tok.partition(":")
+        if name not in SELECTOR_NAMES:
+            raise argparse.ArgumentTypeError(
+                f"unknown selector {name!r} (choose from {', '.join(SELECTOR_NAMES)})"
+            )
+        try:
+            methods.append((name, int(qtxt) if qtxt else None))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"q in {tok!r} is not an integer") from None
+    return methods
 
 
 def cmd_synth(args):
-    alpha = np.asarray(_parse_floats(args.alpha)) if args.alpha else None
+    alpha = np.asarray(args.alpha) if args.alpha else None
     inst = generate_instance(args.d, args.m, args.k, args.delta, args.seed, alpha)
     fmt = args.format or "mtx"
     os.makedirs(args.out, exist_ok=True)
@@ -240,42 +266,27 @@ def cmd_approx(args):
     print(f"{args.method}: abs_error={record['abs_error']:.6g} rel_error={record['rel_error']:.6g}")
 
 
-def _parse_method_spec(text):
-    methods = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        name, _, qtxt = tok.partition(":")
-        if name not in SELECTOR_NAMES:
-            raise SepnmfError(f"unknown selector {name!r}")
-        methods.append((name, int(qtxt) if qtxt else None))
-    return methods
-
-
 def cmd_select(args):
     if args.instances:
         return _select_batch(args)
     if not args.matrix:
         print("error: provide a matrix file or --instances for batch mode", file=sys.stderr)
         return 2
-    if args.method not in SELECTOR_NAMES:
-        print(f"error: unknown selector {args.method!r}", file=sys.stderr)
-        return 2
     A = read_matrix(args.matrix, args.format)
-    q = args.q
+    q = resolve_q(args.method, args.q)
     notes = []
-    if args.method in ("mpspa", "merspa") and q is None:
-        q = 10
-        notes.append("q defaulted to 10")
-        print("note: --q not given, defaulting to q=10", file=sys.stderr)
-    idx, timing, sel_notes = bench.run_selector(
-        A, args.method, args.k, q, args.eps, args.boundary_tol
-    )
-    record = {"seed": args.seed, "indices_1based": (np.sort(idx) + 1).tolist(), "timing": timing}
+    if q != args.q:
+        notes.append(f"q defaulted to {q}")
+        print(f"note: --q not given, defaulting to q={q}", file=sys.stderr)
+    res = select(A, args.k, args.method, q, args.eps, args.boundary_tol)
+    record = {
+        "seed": args.seed,
+        "indices_1based": (np.sort(res.indices) + 1).tolist(),
+        "timing": res.timing,
+    }
     if args.truth:
         _, truth = _load_truth(args.truth, A)
-        record["recovery_rate"] = recovery_rate(idx, truth)
+        record["recovery_rate"] = recovery_rate(res.indices, truth)
     report = ExperimentReport(
         method=args.method,
         parameters={"d": A.shape[0], "m": A.shape[1], "k": args.k, "q": q,
@@ -283,7 +294,7 @@ def cmd_select(args):
                     "matrix": os.path.basename(args.matrix)},
         records=[record],
     )
-    report.parameters["notes"] = notes + list(sel_notes)
+    report.parameters["notes"] = notes + list(res.notes)
     if args.report:
         write_report(args.report, report)
     print("selected (1-based):", " ".join(str(i) for i in record["indices_1based"]))
@@ -295,48 +306,14 @@ def _select_batch(args):
     if not (args.d and args.m):
         print("error: batch mode needs -d and -m", file=sys.stderr)
         return 2
-    methods = _parse_method_spec(args.methods) if args.methods else [("spa", None), ("pspa", None)]
-    deltas = _parse_floats(args.deltas)
     if args.delta_unit == "abs":
-        # express absolute deltas as per-instance multipliers at worker level
         print("note: absolute deltas are applied as-is per instance", file=sys.stderr)
-    rows_all = []
-    for i in range(args.instances):
-        task_seed = args.seed * 100_003 + i
-        if args.delta_unit == "sigmin":
-            rows_all.extend(
-                bench._fig2_worker((args.d, args.m, args.k, task_seed, tuple(methods),
-                                    tuple(deltas), args.eps))
-            )
-        else:
-            from .synth import generate_instance as gen, rescale_noise
-
-            base = gen(args.d, args.m, args.k, 1.0, task_seed)
-            for delta in deltas:
-                inst = rescale_noise(base, delta)
-                for method, q in methods:
-                    idx, timing, notes = bench.run_selector(inst.A, method, args.k, q, args.eps)
-                    rows_all.append({
-                        "delta_mult": delta, "delta": inst.delta, "method": method, "q": q,
-                        "recovery_rate": recovery_rate(idx, inst.true_indices),
-                        "seed": task_seed, "timing": timing, "notes": list(notes),
-                    })
-    csv_rows = []
-    for t in deltas:
-        for method, q in methods:
-            sel = [r for r in rows_all
-                   if r["delta_mult"] == t and r["method"] == method and r["q"] == q]
-            csv_rows.append((
-                float(np.mean([r["delta"] for r in sel])),
-                method,
-                "" if q is None else q,
-                float(np.mean([r["recovery_rate"] for r in sel])),
-            ))
     out = args.out or "select_batch.csv"
-    write_csv_rows(out, ["delta", "method", "q", "mean_recovery"], csv_rows)
-    write_json(os.path.splitext(out)[0] + ".json",
-               {"shape": [args.d, args.m, args.k], "instances": args.instances,
-                "seed": args.seed, "records": rows_all})
+    csv_rows, _ = bench.selector_grid(
+        out, args.d, args.m, args.k, args.seed, args.instances,
+        args.methods or [("spa", None), ("pspa", None)], args.deltas, args.eps,
+        args.delta_unit, args.jobs,
+    )
     print(f"wrote {out} ({len(csv_rows)} rows)")
 
 
@@ -371,11 +348,9 @@ def cmd_unmix(args):
     if args.drop_bands:
         keep = _parse_band_spec(args.drop_bands, A.shape[0])
         A = np.ascontiguousarray(A[keep])
-    q = args.q
-    if args.method in ("mpspa", "merspa") and q is None:
-        q = 10
-    idx, timing, notes = bench.run_selector(A, args.method, args.k, q, args.eps)
-    order = np.sort(idx)
+    q = resolve_q(args.method, args.q)
+    res = select(A, args.k, args.method, q, args.eps)
+    order = np.sort(res.indices)
     F_sel = np.ascontiguousarray(A[:, order])
     ab = estimate_abundances(F_sel, A)
 
@@ -423,19 +398,17 @@ def cmd_unmix(args):
             "q": q,
             "k": args.k,
             "indices_1based": (order + 1).tolist(),
-            "notes": list(notes),
+            "notes": list(res.notes),
             "files": files,
-            "timing": timing,
+            "timing": res.timing,
             "toolkit_version": __version__,
         },
     )
     print("selected (1-based):", " ".join(str(i + 1) for i in order))
 
     if args.expect_match:
-        if args.expect_match not in SELECTOR_NAMES:
-            raise SepnmfError(f"unknown --expect-match selector {args.expect_match!r}")
-        other_idx, _, _ = bench.run_selector(A, args.expect_match, args.k, None, args.eps)
-        if set(order.tolist()) == set(np.asarray(other_idx).tolist()):
+        other_idx = select(A, args.k, args.expect_match, eps=args.eps).indices
+        if set(order.tolist()) == set(other_idx.tolist()):
             print(f"match: {args.method} and {args.expect_match} select the same set")
             return 0
         print(

@@ -1,23 +1,32 @@
 """Preconditioned and preprocessed separable-NMF selectors.
 
-All selectors reduce to successive projection on a transformed matrix:
+Every selector is successive projection on a transformed matrix, built in
+three stages:
 
-  pspa       P = Sigma_k V_k^T from the truncated SVD, whitened by the
-             square root of the minimum-volume enclosing ellipsoid of P's
-             columns.
-  mpspa      same, but P = Q^T A with Q from the cheaper subspace-iteration
-             basis seeded by successive projection (power exponent q).
-  erspa      ellipsoid boundary points as candidates, successive projection
-             as the tie-break among them.
-  merspa     erspa with the subspace-iteration P.
-  prewhiten  selection on Sigma_k^{-1} U_k^T A.
-  spaspa     selection on C A where C whitens the first-pass picks A(I0);
-             avoids any SVD of the full matrix.
+  compress  svd       P = Sigma_k V_k^T from the truncated SVD of A.
+            subspace  P = Q^T A, Q the subspace-iteration basis seeded by
+                      successive projection (power exponent q).
+            seed-svd  SVD of the d x k submatrix A(I0) of the first-pass
+                      picks I0; avoids any SVD of the full matrix.
+  whiten    mvee      C = square root of the minimum-volume enclosing
+                      ellipsoid of P's columns, applied to P.
+            sigma     C = Sigma^{-1} U^T from the compress stage's SVD,
+                      applied to A.
+  pick      spa       successive projection on the whitened matrix.
+            boundary  ellipsoid boundary points as candidates, successive
+                      projection on P as the tie-break among them.
+
+SELECTORS names each method's stages: plain `spa` uses none, `pspa` is
+svd + mvee + spa, and its modification `mpspa` swaps the SVD for the
+subspace basis; `erspa` / `merspa` are the same two with boundary picks;
+`prewhiten` is svd + sigma and `spaspa` seed-svd + sigma. `select(A, k,
+method)` runs any of them; the `*_select` functions are its shorthands.
 
 Selection indices always refer to columns of the original matrix.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +38,19 @@ from .mvee import DEFAULT_EPS, solve_mvee
 from .spa import spa_select
 
 DEFAULT_BOUNDARY_TOL = 1e-3
+DEFAULT_Q = 10
+
+# method -> (compress, whiten, pick)
+SELECTORS = {
+    "spa": (None, None, "spa"),
+    "pspa": ("svd", "mvee", "spa"),
+    "mpspa": ("subspace", "mvee", "spa"),
+    "erspa": ("svd", "mvee", "boundary"),
+    "merspa": ("subspace", "mvee", "boundary"),
+    "prewhiten": ("svd", "sigma", "spa"),
+    "spaspa": ("seed-svd", "sigma", "spa"),
+}
+SELECTOR_NAMES = tuple(SELECTORS)
 
 
 @dataclass
@@ -42,200 +64,143 @@ class SelectorResult:
     notes: tuple = ()
 
 
-def _check_k(A, k, method):
-    if not (1 <= k <= min(A.shape)):
-        raise BadRankError(f"{method}: k must satisfy 1 <= k <= {min(A.shape)}, got {k}")
+def resolve_q(method, q=None):
+    """The power exponent `method` runs with: DEFAULT_Q for a subspace method given None."""
+    if q is None and SELECTORS[method][0] == "subspace":
+        return DEFAULT_Q
+    return q
 
 
-def _spa_fallback(A, k, method, timing, notes):
+@contextmanager
+def _stage(timing, name):
     t0 = time.perf_counter()
-    idx = spa_select(A, k)
-    timing["spa"] = time.perf_counter() - t0
-    return SelectorResult(indices=idx, method=method, timing=timing, notes=tuple(notes))
+    yield
+    timing[name] = timing.get(name, 0.0) + time.perf_counter() - t0
 
 
-def _ellipsoid_stage(P, eps, timing):
-    t0 = time.perf_counter()
-    ell = solve_mvee(P, eps)
-    t1 = time.perf_counter()
-    C = psd_sqrt(ell.L)
-    t2 = time.perf_counter()
-    timing["mvee"] = t1 - t0
-    timing["sqrt"] = t2 - t1
-    return ell, C
-
-
-def pspa_select(A, k, eps=DEFAULT_EPS):
-    """Selection on the ellipsoid-whitened truncated-SVD coordinates.
-
-    k = 1 bypasses preconditioning (the conditioning analysis assumes
-    k >= 2) and falls back to plain selection, flagged in notes.
-    """
-    A = as_matrix(A)
-    _check_k(A, k, "pspa")
-    timing = {}
-    if k == 1:
-        return _spa_fallback(A, k, "pspa", timing, ["k=1: preconditioning bypassed"])
-    t0 = time.perf_counter()
-    f = svd_truncated(A, k)
-    P = np.ascontiguousarray(f.S[:, None] * f.V.T)
-    timing["svd"] = time.perf_counter() - t0
-    _, C = _ellipsoid_stage(P, eps, timing)
-    t0 = time.perf_counter()
-    idx = spa_select(np.ascontiguousarray(C @ P), k)
-    timing["spa"] = time.perf_counter() - t0
-    return SelectorResult(indices=idx, method="pspa", preconditioner=C, timing=timing)
-
-
-def mpspa_select(A, k, q, eps=DEFAULT_EPS, diagnostics=False):
-    """pspa with the truncated SVD replaced by the subspace-iteration basis.
-
-    Raises RankDeficient when the iterated basis collapses below k columns
-    (the ellipsoid problem would have no solution). With diagnostics=True
-    the full approximation is formed and its bound report attached.
-    """
-    A = as_matrix(A)
-    _check_k(A, k, "mpspa")
-    if q < 0:
-        raise BadRankError(f"mpspa: q must be >= 0, got {q}")
-    timing = {}
-    if k == 1:
-        return _spa_fallback(A, k, "mpspa", timing, ["k=1: preconditioning bypassed"])
-    t0 = time.perf_counter()
-    report = None
-    if diagnostics:
-        approx = spa_rank_approx(A, k, q)
-        Q = approx.Q
-        report = bound_report(A, approx)
-    else:
-        idx0 = spa_select(A, k)
-        Q = subspace_basis(A, np.ascontiguousarray(A[:, idx0]), q)
-    timing["subspace"] = time.perf_counter() - t0
-    if Q.shape[1] < k:
-        raise RankDeficientError(
-            f"mpspa: iterated basis has rank {Q.shape[1]} < k={k}"
-        )
-    P = np.ascontiguousarray(Q.T @ A)
-    _, C = _ellipsoid_stage(P, eps, timing)
-    t0 = time.perf_counter()
-    idx = spa_select(np.ascontiguousarray(C @ P), k)
-    timing["spa"] = time.perf_counter() - t0
-    return SelectorResult(
-        indices=idx,
-        method="mpspa",
-        q=q,
-        preconditioner=C,
-        diagnostics=report,
-        timing=timing,
-    )
-
-
-def _boundary_pick(A, P, k, eps, boundary_tol, method, q, timing):
-    ell, C = _ellipsoid_stage(P, eps, timing)
-    t0 = time.perf_counter()
+def _boundary_pick(P, ell, C, k, boundary_tol, notes):
     vals = np.einsum("ji,jl,li->i", P, ell.L, P)
     cand = np.flatnonzero(np.abs(vals - 1.0) <= boundary_tol)
-    notes = []
     if cand.size < k:
         # too few boundary points: degrade to selection on the whitened data
         notes.append(f"only {cand.size} boundary points; fell back to whitened selection")
-        idx = spa_select(np.ascontiguousarray(C @ P), k)
-    elif cand.size == k:
-        idx = np.sort(cand)
+        return spa_select(np.ascontiguousarray(C @ P), k)
+    if cand.size == k:
+        return np.sort(cand)
+    return cand[spa_select(np.ascontiguousarray(P[:, cand]), k)]
+
+
+def select(A, k, method, q=None, eps=DEFAULT_EPS, boundary_tol=DEFAULT_BOUNDARY_TOL,
+           diagnostics=False):
+    """Run the selector named `method` (a key of SELECTORS) on A.
+
+    q is the power exponent of the subspace methods (DEFAULT_Q when None);
+    the other methods ignore it. With diagnostics=True the subspace methods
+    form the full rank-k approximation and attach its bound report.
+
+    k = 1 bypasses the ellipsoid methods' preconditioning (the conditioning
+    analysis assumes k >= 2) and falls back to plain selection, flagged in
+    notes. Raises RankDeficient when the iterated basis collapses below k
+    columns (the ellipsoid problem would have no solution).
+    """
+    if method not in SELECTORS:
+        raise ValueError(f"unknown selector {method!r}; expected one of {SELECTOR_NAMES}")
+    A = as_matrix(A)
+    if not (1 <= k <= min(A.shape)):
+        raise BadRankError(f"{method}: k must satisfy 1 <= k <= {min(A.shape)}, got {k}")
+    compress, whiten, pick = SELECTORS[method]
+    q = resolve_q(method, q) if compress == "subspace" else None
+    if q is not None and q < 0:
+        raise BadRankError(f"{method}: q must be >= 0, got {q}")
+    timing, notes, report = {}, [], None
+    if k == 1 and whiten == "mvee":
+        compress, whiten, pick, q = None, None, "spa", None
+        notes.append("k=1: preconditioning bypassed")
+
+    # compress: P holds A's columns in k coordinates, f the SVD sigma whitens by
+    if compress == "svd":
+        with _stage(timing, "svd"):
+            f = svd_truncated(A, k)
+            if whiten == "mvee":
+                P = np.ascontiguousarray(f.S[:, None] * f.V.T)
+    elif compress == "subspace":
+        with _stage(timing, "subspace"):
+            if diagnostics:
+                approx = spa_rank_approx(A, k, q)
+                Q = approx.Q
+                report = bound_report(A, approx)
+            else:
+                Q = subspace_basis(A, np.ascontiguousarray(A[:, spa_select(A, k)]), q)
+        if Q.shape[1] < k:
+            raise RankDeficientError(f"{method}: iterated basis has rank {Q.shape[1]} < k={k}")
+        P = np.ascontiguousarray(Q.T @ A)
+    elif compress == "seed-svd":
+        with _stage(timing, "spa_seed"):
+            idx0 = spa_select(A, k)
+        with _stage(timing, "svd"):
+            f = svd_full(np.ascontiguousarray(A[:, idx0]))
+
+    # whiten: the pick stage works on C @ X
+    C, X, preconditioner = None, A, None
+    if whiten == "mvee":
+        with _stage(timing, "mvee"):
+            ell = solve_mvee(P, eps)
+        with _stage(timing, "sqrt"):
+            C = psd_sqrt(ell.L)
+        X, preconditioner = P, C
+    elif whiten == "sigma":
+        with _stage(timing, "svd"):
+            if f.S[-1] <= 1e-12 * f.S[0]:
+                raise BadRankError(
+                    f"{method}: sigma_{k} is numerically zero" if compress == "svd"
+                    else f"{method}: seed submatrix is numerically rank deficient"
+                )
+            C = np.ascontiguousarray(f.U.T / f.S[:, None])
+        # k x k symmetric record of the conditioning applied (C C^T form)
+        preconditioner = np.diag(1.0 / (f.S * f.S))
+
+    if pick == "spa":
+        with _stage(timing, "spa"):
+            idx = spa_select(A if C is None else np.ascontiguousarray(C @ X), k)
     else:
-        sub = spa_select(np.ascontiguousarray(P[:, cand]), k)
-        idx = cand[sub]
-    timing["boundary"] = time.perf_counter() - t0
+        with _stage(timing, "boundary"):
+            idx = _boundary_pick(P, ell, C, k, boundary_tol, notes)
     return SelectorResult(
-        indices=np.asarray(idx),
+        indices=idx,
         method=method,
         q=q,
-        preconditioner=C,
+        preconditioner=preconditioner,
+        diagnostics=report,
         timing=timing,
         notes=tuple(notes),
     )
 
 
+def pspa_select(A, k, eps=DEFAULT_EPS):
+    """Selection on the ellipsoid-whitened truncated-SVD coordinates."""
+    return select(A, k, "pspa", eps=eps)
+
+
+def mpspa_select(A, k, q, eps=DEFAULT_EPS, diagnostics=False):
+    """pspa with the truncated SVD replaced by the subspace-iteration basis."""
+    return select(A, k, "mpspa", q, eps, diagnostics=diagnostics)
+
+
 def erspa_select(A, k, eps=DEFAULT_EPS, boundary_tol=DEFAULT_BOUNDARY_TOL):
     """Ellipsoid-boundary candidates, successive projection as tie-break."""
-    A = as_matrix(A)
-    _check_k(A, k, "erspa")
-    timing = {}
-    if k == 1:
-        return _spa_fallback(A, k, "erspa", timing, ["k=1: preconditioning bypassed"])
-    t0 = time.perf_counter()
-    f = svd_truncated(A, k)
-    P = np.ascontiguousarray(f.S[:, None] * f.V.T)
-    timing["svd"] = time.perf_counter() - t0
-    return _boundary_pick(A, P, k, eps, boundary_tol, "erspa", None, timing)
+    return select(A, k, "erspa", eps=eps, boundary_tol=boundary_tol)
 
 
 def merspa_select(A, k, q, eps=DEFAULT_EPS, boundary_tol=DEFAULT_BOUNDARY_TOL):
     """erspa with the subspace-iteration compression in place of the SVD."""
-    A = as_matrix(A)
-    _check_k(A, k, "merspa")
-    if q < 0:
-        raise BadRankError(f"merspa: q must be >= 0, got {q}")
-    timing = {}
-    if k == 1:
-        return _spa_fallback(A, k, "merspa", timing, ["k=1: preconditioning bypassed"])
-    t0 = time.perf_counter()
-    idx0 = spa_select(A, k)
-    Q = subspace_basis(A, np.ascontiguousarray(A[:, idx0]), q)
-    timing["subspace"] = time.perf_counter() - t0
-    if Q.shape[1] < k:
-        raise RankDeficientError(f"merspa: iterated basis has rank {Q.shape[1]} < k={k}")
-    P = np.ascontiguousarray(Q.T @ A)
-    return _boundary_pick(A, P, k, eps, boundary_tol, "merspa", q, timing)
+    return select(A, k, "merspa", q, eps, boundary_tol)
 
 
 def prewhiten_spa_select(A, k):
     """Selection on Sigma_k^{-1} U_k^T A (whitened top-k coordinates)."""
-    A = as_matrix(A)
-    _check_k(A, k, "prewhiten")
-    timing = {}
-    t0 = time.perf_counter()
-    f = svd_truncated(A, k)
-    if f.S[-1] <= 1e-12 * f.S[0]:
-        raise BadRankError(f"prewhiten: sigma_{k} is numerically zero")
-    C = np.ascontiguousarray(f.U.T / f.S[:, None])
-    timing["svd"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    idx = spa_select(np.ascontiguousarray(C @ A), k)
-    timing["spa"] = time.perf_counter() - t0
-    # k x k symmetric record of the conditioning applied (C C^T form)
-    return SelectorResult(
-        indices=idx,
-        method="prewhiten",
-        preconditioner=np.diag(1.0 / (f.S * f.S)),
-        timing=timing,
-    )
+    return select(A, k, "prewhiten")
 
 
 def spaspa_select(A, k):
-    """First-pass picks whiten the data; no SVD of the full matrix.
-
-    I0 = plain selection; C = Sigma^{-1} U^T from the SVD of the d x k
-    submatrix A(I0); final selection runs on C A.
-    """
-    A = as_matrix(A)
-    _check_k(A, k, "spaspa")
-    timing = {}
-    t0 = time.perf_counter()
-    idx0 = spa_select(A, k)
-    timing["spa_seed"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sub = svd_full(np.ascontiguousarray(A[:, idx0]))
-    if sub.S[-1] <= 1e-12 * sub.S[0]:
-        raise BadRankError("spaspa: seed submatrix is numerically rank deficient")
-    C = np.ascontiguousarray(sub.U.T / sub.S[:, None])
-    timing["svd"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    idx = spa_select(np.ascontiguousarray(C @ A), k)
-    timing["spa"] = time.perf_counter() - t0
-    return SelectorResult(
-        indices=idx,
-        method="spaspa",
-        preconditioner=np.diag(1.0 / (sub.S * sub.S)),
-        timing=timing,
-    )
+    """First-pass picks whiten the data: selection on Sigma^{-1} U^T A from A(I0)."""
+    return select(A, k, "spaspa")

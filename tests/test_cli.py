@@ -149,6 +149,49 @@ class TestSelect:
         r = run_cli("select", str(instance_dir / "A.mtx"), "-k", "4", "--method", "bogus")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--methods", "bogus"),
+        ("--methods", "spa,mpspa:x"),
+        ("--deltas", "0,a"),
+    ])
+    def test_bad_batch_spec_exits_2(self, tmp_path, flags):
+        out = tmp_path / "batch.csv"
+        r = run_cli("select", "-k", "3", "--instances", "1", "-d", "12", "-m", "90",
+                    *flags, "--out", str(out))
+        assert r.returncode == 2
+        assert "usage" in r.stderr.lower() and "Traceback" not in r.stderr
+        assert not out.exists()
+
+    def test_batch_abs_deltas(self, tmp_path):
+        from sepnmf.metrics import recovery_rate
+        from sepnmf.select import select
+        from sepnmf.synth import rescale_noise
+
+        out = str(tmp_path / "abs.csv")
+        deltas = (0.0, 0.25, 0.7)
+        r = run_cli("select", "-k", "3", "--instances", "2", "-d", "12", "-m", "90",
+                    "--delta-unit", "abs", "--deltas", ",".join(map(str, deltas)),
+                    "--methods", "spa,mpspa:1", "--seed", "4", "--out", out)
+        assert r.returncode == 0, r.stderr
+        lines = open(out).read().strip().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(row[0]) for row in rows] == [t for t in deltas for _ in range(2)]
+        records = read_json(str(tmp_path / "abs.json"))["records"]
+        assert len(records) == 2 * len(deltas) * 2
+        assert {rec["seed"] for rec in records} == {4 * 100_003, 4 * 100_003 + 1}
+        for rec in records:
+            assert rec["delta"] == rec["delta_mult"]
+            base = generate_instance(12, 90, 3, 1.0, rec["seed"])
+            inst = rescale_noise(base, rec["delta"])
+            idx = select(inst.A, 3, rec["method"], rec["q"]).indices
+            assert rec["recovery_rate"] == recovery_rate(idx, inst.true_indices)
+        for row in rows:
+            cell = [rec["recovery_rate"] for rec in records
+                    if rec["delta"] == float(row[0]) and rec["method"] == row[1]
+                    and str(rec["q"] or "") == row[2]]
+            assert len(cell) == 2
+            assert float(row[3]) == float(np.mean(cell))
+
     def test_mismatched_truth_rejected(self, instance_dir, tmp_path):
         other = tmp_path / "other"
         run_cli("synth", "-d", "20", "-m", "200", "-k", "4", "--delta", "1.5",
@@ -203,6 +246,18 @@ class TestUnmix:
                     "--out", str(tmp_path / "m"), "--expect-match", "pspa")
         assert r.returncode == 0, r.stderr
         assert "match" in r.stdout
+
+    @pytest.mark.parametrize("flags", [
+        ("--method", "bogus"),
+        ("--expect-match", "bogus"),
+    ])
+    def test_unknown_selector_exits_2(self, cube, tmp_path, flags):
+        path, lib, inst = cube
+        out = tmp_path / "bad"
+        r = run_cli("unmix", path, "-k", "3", *flags, "--out", str(out))
+        assert r.returncode == 2
+        assert "invalid choice" in r.stderr and "Traceback" not in r.stderr
+        assert not out.exists()
 
     def test_missing_shape_for_rasters(self, tmp_path):
         inst = generate_instance(8, 30, 3, 0.0, seed=2)

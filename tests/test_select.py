@@ -7,11 +7,14 @@ from sepnmf.metrics import recovery_rate
 from sepnmf.mvee import solve_mvee
 from sepnmf.rng import SplitMix64
 from sepnmf.select import (
+    DEFAULT_Q,
+    SELECTOR_NAMES,
     erspa_select,
     merspa_select,
     mpspa_select,
     prewhiten_spa_select,
     pspa_select,
+    select,
     spaspa_select,
 )
 from sepnmf.spa import spa_select
@@ -176,3 +179,30 @@ def test_selector_timing_recorded():
     res = pspa_select(inst.A, 3)
     assert {"svd", "mvee", "sqrt", "spa"} <= set(res.timing)
     assert all(v >= 0 for v in res.timing.values())
+
+
+NAMED_SELECTORS = {
+    "spa": spa_select,
+    "pspa": lambda A, k: pspa_select(A, k).indices,
+    "mpspa": lambda A, k: mpspa_select(A, k, DEFAULT_Q).indices,
+    "erspa": lambda A, k: erspa_select(A, k).indices,
+    "merspa": lambda A, k: merspa_select(A, k, DEFAULT_Q).indices,
+    "prewhiten": lambda A, k: prewhiten_spa_select(A, k).indices,
+    "spaspa": lambda A, k: spaspa_select(A, k).indices,
+}
+
+
+@pytest.mark.parametrize("method", SELECTOR_NAMES)
+def test_select_matches_named_function(method):
+    inst = generate_instance(12, 90, 5, 0.6, seed=8)
+    res = select(inst.A, 5, method)
+    assert res.method == method
+    assert res.indices.tolist() == NAMED_SELECTORS[method](inst.A, 5).tolist()
+
+
+def test_select_q_default_and_unknown_method():
+    inst = generate_instance(10, 60, 3, 0.1, seed=3)
+    assert select(inst.A, 3, "merspa").q == DEFAULT_Q
+    assert select(inst.A, 3, "pspa", q=4).q is None
+    with pytest.raises(ValueError):
+        select(inst.A, 3, "bogus")

@@ -6,7 +6,6 @@ fig2     recovery rate of the selector family across the same grid; the
          same grid run (`selector_grid`) backs `select --instances`.
 tab2     wall time and error of the rank-k engines against the truncated
          SVD on wide shapes.
-kernels  numba backend against the pure-numpy fallback on the hot kernels.
 
 Every row carries enough seeds to reproduce it. Suites emit CSV + JSON
 plus a plain-text summary; each CSV row is the mean of its cell's
@@ -21,15 +20,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import kernels
-from .backend import HAS_NUMBA
 from .io import write_csv_rows, write_json
 from .linalg import spectral_norm, svd_truncated
 from .lowrank import rand_subspace_approx, spa_rank_approx
 from .metrics import recovery_rate
-from .rng import SplitMix64
 # perfbench/tracing.py times the grid runs' selector calls as bench.run_selector
-from .select import DEFAULT_EPS
+from .select import DEFAULT_BOUNDARY_TOL, DEFAULT_EPS
 from .select import select as run_selector
 from .synth import generate_instance, rescale_noise, sigma_min
 
@@ -120,14 +116,14 @@ def fig1_suite(out_dir, scale="desk", seed=0, jobs=1, q_list=None, deltas=None, 
 
 
 def _fig2_worker(task):
-    d, m, k, seed, methods, deltas, eps, unit = task
+    d, m, k, seed, methods, deltas, eps, boundary_tol, unit = task
     base = generate_instance(d, m, k, 1.0, seed)
     scale = sigma_min(base.F) if unit == "sigmin" else 1.0
     rows = []
     for t in deltas:
         inst = rescale_noise(base, t * scale)
         for method, q in methods:
-            res = run_selector(inst.A, k, method, q, eps)
+            res = run_selector(inst.A, k, method, q, eps, boundary_tol)
             rows.append(
                 {
                     "delta_mult": t,
@@ -144,15 +140,16 @@ def _fig2_worker(task):
 
 
 def selector_grid(csv_path, d, m, k, seed, instances, methods, deltas, eps=DEFAULT_EPS,
-                  unit="sigmin", jobs=1):
+                  boundary_tol=DEFAULT_BOUNDARY_TOL, unit="sigmin", jobs=1):
     """Mean recovery rate of each (delta, method, q) cell over seeded instances.
 
     deltas are multipliers of each instance's sigma_min(F) (unit "sigmin")
-    or absolute noise norms (unit "abs"). Writes csv_path and the records
-    as JSON beside it; returns (csv_rows, records).
+    or absolute noise norms (unit "abs"); eps and boundary_tol go to every
+    select() call. Writes csv_path and the records as JSON beside it;
+    returns (csv_rows, records).
     """
     tasks = [
-        (d, m, k, seed * 100_003 + i, tuple(methods), tuple(deltas), eps, unit)
+        (d, m, k, seed * 100_003 + i, tuple(methods), tuple(deltas), eps, boundary_tol, unit)
         for i in range(instances)
     ]
     records = [row for rows in _run_tasks(tasks, _fig2_worker, jobs) for row in rows]
@@ -259,72 +256,6 @@ def tab2_suite(out_dir, scale="desk", seed=0, jobs=1, reps=3, delta_mult=1.0, q=
     return csv_rows, records
 
 
-def _kernel_workloads(seed=0):
-    r = SplitMix64(seed)
-    X = r.normal_matrix(40, 1500)
-    W = r.normal_matrix(12, 800)
-    A = np.ascontiguousarray(r.normal_matrix(40, 4000))
-    pts = np.ascontiguousarray(r.normal_matrix(300, 8))
-
-    def svd_load(fn):
-        Xc = X.copy()
-        fn(Xc, np.eye(40), 1e-14, 0.0, 60)
-
-    def mgs_load(fn):
-        Wc = W.copy()
-        fn(Wc, 1e-12, np.zeros(12, np.int64))
-
-    def spa_load(fn):
-        fn(A, 10, 1e-12 * float(np.linalg.norm(A)), np.zeros(10, np.int64))
-
-    def mvee_load(fn):
-        mw = pts.shape[0]
-        u = np.full(mw, 1.0 / mw)
-        M = (pts * u[:, None]).T @ pts
-        minv = np.ascontiguousarray(np.linalg.inv(M))
-        kappa = np.einsum("ij,jl,il->i", pts, minv, pts)
-        fn(pts, u, minv, kappa, 1e-7, 100_000, 10**9)
-
-    return {
-        "svd_jacobi_rows": (svd_load, "40x1500"),
-        "mgs_rows": (mgs_load, "12x800"),
-        "spa_core": (spa_load, "40x4000 k=10"),
-        "mvee_ascent": (mvee_load, "300 pts in R^8"),
-    }
-
-
-def kernels_suite(out_dir, scale="desk", seed=0, jobs=1, repeats=3):
-    """Best-of-N wall time for each hot kernel on both backends."""
-    loads = _kernel_workloads(seed)
-    csv_rows = []
-    records = []
-    for name, (load, shape) in loads.items():
-        times = {}
-        for backend in ("numpy", "numba") if HAS_NUMBA else ("numpy",):
-            fn = kernels.get_kernel(name, backend)
-            load(fn)  # warm-up (and JIT compile)
-            best = min(_timed(load, fn) for _ in range(repeats))
-            times[backend] = best
-        speedup = times["numpy"] / times["numba"] if "numba" in times else ""
-        csv_rows.append(
-            (name, shape, times["numpy"], times.get("numba", ""), speedup)
-        )
-        records.append({"kernel": name, "shape": shape, "seed": seed, "times": times})
-    _emit(
-        os.path.join(out_dir, "kernels.csv"),
-        ["kernel", "shape", "numpy_best_s", "numba_best_s", "speedup"],
-        csv_rows,
-        {"repeats": repeats, "seed": seed, "records": records},
-    )
-    return csv_rows, records
-
-
-def _timed(load, fn):
-    t0 = time.perf_counter()
-    load(fn)
-    return time.perf_counter() - t0
-
-
 def _emit(csv_path, header, csv_rows, meta):
     os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
     write_csv_rows(csv_path, header, csv_rows)
@@ -335,7 +266,6 @@ SUITES = {
     "fig1": fig1_suite,
     "fig2": fig2_suite,
     "tab2": tab2_suite,
-    "kernels": kernels_suite,
 }
 
 

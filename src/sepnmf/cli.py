@@ -30,7 +30,7 @@ from .lowrank import bound_report, rand_subspace_approx, spa_rank_approx
 from .metrics import estimate_abundances, recovery_rate, spectral_angle_distance
 from .reports import ExperimentReport, write_report
 from .rng import RNG_NAME
-from .select import DEFAULT_Q, SELECTOR_NAMES, resolve_q, select
+from .select import DEFAULT_BOUNDARY_TOL, DEFAULT_Q, SELECTOR_NAMES, resolve_q, select
 from .synth import generate_instance, robust_noise_bound, sigma_min
 
 
@@ -84,7 +84,7 @@ def build_parser():
     c.add_argument("-k", type=int, required=True)
     c.add_argument("--method", choices=SELECTOR_NAMES, default="spa")
     c.add_argument("--q", type=int, help=f"power exponent for mpspa/merspa (default {DEFAULT_Q})")
-    c.add_argument("--boundary-tol", type=float, default=1e-3)
+    c.add_argument("--boundary-tol", type=float, default=DEFAULT_BOUNDARY_TOL)
     c.add_argument("--truth", help="meta.json with ground-truth indices")
     c.add_argument("--report", help="output report JSON")
     c.add_argument("--instances", type=int, help="batch mode: instances per grid cell")
@@ -110,7 +110,8 @@ def build_parser():
     u.add_argument("--q", type=int)
     u.add_argument("--meta", help="sidecar JSON with height/width (default <matrix>.json)")
     u.add_argument("--library", help="CSV of reference spectra (header = material names)")
-    u.add_argument("--drop-bands", type=str, help="1-based bands to drop, e.g. 1-4,76,101-111")
+    u.add_argument("--drop-bands", type=_band_ranges,
+                   help="1-based bands to drop, e.g. 1-4,76,101-111")
     u.add_argument("--rasters", action="store_true", help="require PGM abundance rasters")
     u.add_argument("--expect-match", choices=SELECTOR_NAMES, metavar="METHOD",
                    help="exit 0 iff this method picks the same set")
@@ -118,7 +119,7 @@ def build_parser():
     u.set_defaults(func=cmd_unmix)
 
     b = sub.add_parser("bench", help="experiment suites", parents=[common])
-    b.add_argument("suite", choices=("fig1", "fig2", "tab2", "kernels", "all"))
+    b.add_argument("suite", choices=("fig1", "fig2", "tab2", "all"))
     b.add_argument("--scale", choices=("desk", "tiny"), default="desk")
     b.add_argument("--out", required=True, help="output directory")
     b.set_defaults(func=cmd_bench)
@@ -312,26 +313,40 @@ def _select_batch(args):
     csv_rows, _ = bench.selector_grid(
         out, args.d, args.m, args.k, args.seed, args.instances,
         args.methods or [("spa", None), ("pspa", None)], args.deltas, args.eps,
-        args.delta_unit, args.jobs,
+        args.boundary_tol, args.delta_unit, args.jobs,
     )
     print(f"wrote {out} ({len(csv_rows)} rows)")
 
 
-def _parse_band_spec(text, d):
-    drop = set()
+def _band_ranges(text):
+    """Comma list of 1-based bands and LO-HI ranges, LO <= HI (an argparse
+    type); returns (lo, hi) pairs."""
+    ranges = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        if "-" in tok:
-            lo, hi = tok.split("-")
-            drop.update(range(int(lo), int(hi) + 1))
-        else:
-            drop.add(int(tok))
-    bad = [b for b in drop if not (1 <= b <= d)]
+        lo, sep, hi = tok.partition("-")
+        try:
+            lo = int(lo)
+            hi = int(hi) if sep else lo
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a band or LO-HI range: {tok!r}") from None
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"empty band range {tok!r}")
+        ranges.append((lo, hi))
+    return ranges
+
+
+def _kept_bands(ranges, d):
+    """0-based indices of the bands of a d-band cube that `ranges` keeps."""
+    bad = [f"{lo}-{hi}" if lo < hi else str(lo) for lo, hi in ranges if lo < 1 or hi > d]
     if bad:
-        raise SepnmfError(f"--drop-bands out of range 1..{d}: {sorted(bad)}")
-    return np.asarray(sorted(set(range(1, d + 1)) - drop), dtype=np.int64) - 1
+        raise SepnmfError(f"--drop-bands out of range 1..{d}: {', '.join(bad)}")
+    keep = np.ones(d, dtype=bool)
+    for lo, hi in ranges:
+        keep[lo - 1:hi] = False
+    return np.flatnonzero(keep)
 
 
 def _read_library(path):
@@ -346,8 +361,7 @@ def cmd_unmix(args):
     meta_path = args.meta or args.matrix + ".json"
     meta = read_json(meta_path) if os.path.exists(meta_path) else {}
     if args.drop_bands:
-        keep = _parse_band_spec(args.drop_bands, A.shape[0])
-        A = np.ascontiguousarray(A[keep])
+        A = np.ascontiguousarray(A[_kept_bands(args.drop_bands, A.shape[0])])
     q = resolve_q(args.method, args.q)
     res = select(A, args.k, args.method, q, args.eps)
     order = np.sort(res.indices)

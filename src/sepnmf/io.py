@@ -67,29 +67,44 @@ def write_matrix(path, A, fmt=None):
 
 
 def read_matrix(path, fmt=None):
+    """Read a dense matrix; a malformed file raises BadShapeError naming it."""
     fmt = matrix_format(path, fmt)
     if fmt == "mtx":
-        with open(path) as fh:
-            header = fh.readline().strip().lower()
-            if not header.startswith("%%matrixmarket matrix array real"):
-                raise BadShapeError(f"{path}: not a Matrix Market array file")
-            line = fh.readline()
-            while line.startswith("%"):
+        try:
+            with open(path) as fh:
+                header = fh.readline().strip().lower()
+                if not header.startswith("%%matrixmarket matrix array real"):
+                    raise BadShapeError(f"{path}: not a Matrix Market array file")
                 line = fh.readline()
-            d, m = (int(tok) for tok in line.split())
-            data = np.loadtxt(fh, ndmin=1)
-        if data.size != d * m:
-            raise BadShapeError(f"{path}: expected {d * m} entries, got {data.size}")
+                while line.startswith("%"):
+                    line = fh.readline()
+                d, m = (int(tok) for tok in line.split())
+                data = np.loadtxt(fh, ndmin=1)
+        except ValueError as exc:  # also undecodable bytes (UnicodeDecodeError)
+            raise BadShapeError(f"{path}: malformed Matrix Market file ({exc})") from None
+        if min(d, m) < 0 or data.size != d * m:
+            raise BadShapeError(f"{path}: size line says {d} x {m}, got {data.size} entries")
         A = data.reshape(m, d).T.copy()
     elif fmt == "bin":
         with open(path, "rb") as fh:
             magic = fh.read(8)
             if magic != BIN_MAGIC:
                 raise BadShapeError(f"{path}: bad magic {magic!r}")
-            d, m = struct.unpack("<QQ", fh.read(16))
-            A = np.frombuffer(fh.read(), dtype="<f8").reshape(d, m).copy()
+            header = fh.read(16)
+            if len(header) != 16:
+                raise BadShapeError(f"{path}: truncated header")
+            d, m = struct.unpack("<QQ", header)
+            payload = fh.read()
+        if len(payload) != 8 * d * m:
+            raise BadShapeError(
+                f"{path}: a {d} x {m} header needs {8 * d * m} payload bytes, got {len(payload)}"
+            )
+        A = np.frombuffer(payload, dtype="<f8").reshape(d, m).copy()
     else:
-        A = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            A = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise BadShapeError(f"{path}: malformed CSV matrix ({exc})") from None
     if not np.isfinite(A).all():
         raise NonFiniteError(f"{path} contains non-finite entries")
     return np.ascontiguousarray(A)

@@ -2,19 +2,16 @@
 Gram-Schmidt, the successive-projection selection loop, and the
 ellipsoid dual-ascent loop.
 
-Each kernel is written once in njit-compatible numpy style and compiled
-with numba on the active backend (see backend.py). All loops operate on
-rows of C-ordered arrays so every inner np.dot sees contiguous memory.
+All loops operate on rows of C-ordered arrays so every inner np.dot sees
+contiguous memory.
 """
 
 import math
 
 import numpy as np
 
-from .backend import HAS_NUMBA, compile_njit, jit
 
-
-def _svd_jacobi_rows(X, R, tol, floor2, max_sweeps):
+def svd_jacobi_rows(X, R, tol, floor2, max_sweeps):
     # Orthogonalize the rows of X in place by plane rotations, accumulating
     # the same rotations in R (so original X = R.T @ final X). Rows whose
     # squared norm is at or below floor2 count as numerically zero and are
@@ -60,7 +57,7 @@ def _svd_jacobi_rows(X, R, tol, floor2, max_sweeps):
     return sweeps
 
 
-def _mgs_rows(W, rel_tol, order):
+def mgs_rows(W, rel_tol, order):
     # Pivoted modified Gram-Schmidt on the rows of W (modified in place).
     # Pivot = residual row norm; a row is dependent once its pivot falls
     # below rel_tol times the first pivot. Selected, normalized rows end up
@@ -110,7 +107,7 @@ def _mgs_rows(W, rel_tol, order):
     return rank
 
 
-def _spa_core(A, k, norm_floor, idx):
+def spa_core(A, k, norm_floor, idx):
     # Greedy max-norm column picks with the incremental squared-norm
     # downdate sq[j] -= (u . a_j)^2, u the unit residual of the pivot.
     # Ties at the argmax go to the smallest column index. Returns
@@ -140,7 +137,7 @@ def _spa_core(A, k, norm_floor, idx):
     return k, 0
 
 
-def _mvee_ascent(P, u, minv, kappa, eps, max_iter, refresh_every):
+def mvee_ascent(P, u, minv, kappa, eps, max_iter, refresh_every):
     # Dual D-optimal-design ascent with Wolfe away steps over the points in
     # the rows of P. u, minv (= M(u)^-1) and kappa (= p_i^T minv p_i) are
     # updated in place via rank-one identities. Returns (status, iters):
@@ -187,40 +184,3 @@ def _mvee_ascent(P, u, minv, kappa, eps, max_iter, refresh_every):
         if iters % refresh_every == 0:
             return 1, iters
     return 2, iters
-
-
-_IMPLS = {
-    "svd_jacobi_rows": _svd_jacobi_rows,
-    "mgs_rows": _mgs_rows,
-    "spa_core": _spa_core,
-    "mvee_ascent": _mvee_ascent,
-}
-
-svd_jacobi_rows = jit(_svd_jacobi_rows)
-mgs_rows = jit(_mgs_rows)
-spa_core = jit(_spa_core)
-mvee_ascent = jit(_mvee_ascent)
-
-_COMPILED_CACHE = {}
-
-
-def kernel_names():
-    return sorted(_IMPLS)
-
-
-def get_kernel(name, backend):
-    """Fetch one kernel on an explicit backend ('numba' or 'numpy').
-
-    Used by the backend benchmark and the cross-backend tests; normal code
-    imports the module-level names, which follow SEPNMF_BACKEND.
-    """
-    impl = _IMPLS[name]
-    if backend == "numpy":
-        return impl
-    if backend == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        if name not in _COMPILED_CACHE:
-            _COMPILED_CACHE[name] = compile_njit(impl)
-        return _COMPILED_CACHE[name]
-    raise ValueError(f"unknown backend {backend!r}")

@@ -1,7 +1,6 @@
 import numpy as np
 
-from sepnmf.backend import HAS_NUMBA
-from sepnmf.bench import fig1_suite, fig2_suite, kernels_suite, run_suites, tab2_suite
+from sepnmf.bench import fig1_suite, fig2_suite, run_suites, tab2_suite
 
 
 def test_fig1_rows_and_upper_bound(tmp_path):
@@ -37,15 +36,6 @@ def test_tab2_selection_path_beats_svd_on_wide_shapes(tmp_path):
         t_svd = by[(d, m, "svd")][5]
         assert t_spa < t_svd, (d, m, t_spa, t_svd)
         assert by[(d, m, "spa")][7] <= 1.03 * by[(d, m, "svd")][7]
-
-
-def test_kernels_suite_reports_both_backends(tmp_path):
-    rows, records = kernels_suite(str(tmp_path), repeats=2)
-    assert len(rows) == 4
-    for name, shape, t_np, t_nb, speedup in rows:
-        assert t_np > 0
-        if HAS_NUMBA:
-            assert t_nb > 0
 
 
 def test_run_suites_summary(tmp_path):

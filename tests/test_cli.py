@@ -11,16 +11,12 @@ from sepnmf.reports import strip_timing
 from sepnmf.synth import generate_instance
 
 
-def run_cli(*args, cwd=None, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "sepnmf", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=full_env,
     )
 
 
@@ -192,6 +188,28 @@ class TestSelect:
             assert len(cell) == 2
             assert float(row[3]) == float(np.mean(cell))
 
+    def test_batch_passes_boundary_tol(self, tmp_path):
+        from sepnmf.select import select
+        from sepnmf.synth import rescale_noise, sigma_min
+
+        out = str(tmp_path / "bt.csv")
+        r = run_cli("select", "-k", "4", "--instances", "1", "-d", "20", "-m", "150",
+                    "--deltas", "0.5", "--methods", "erspa", "--boundary-tol", "1e-15",
+                    "--out", out)
+        assert r.returncode == 0, r.stderr
+        rec = read_json(str(tmp_path / "bt.json"))["records"][0]
+        base = generate_instance(20, 150, 4, 1.0, rec["seed"])
+        inst = rescale_noise(base, rec["delta_mult"] * sigma_min(base.F))
+        notes = list(select(inst.A, 4, "erspa", boundary_tol=1e-15).notes)
+        assert notes and rec["notes"] == notes
+
+    def test_malformed_matrix_exits_3(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,2,3\n4,5\n")
+        r = run_cli("select", str(path), "-k", "2")
+        assert r.returncode == 3
+        assert "bad.csv" in r.stderr and "Traceback" not in r.stderr
+
     def test_mismatched_truth_rejected(self, instance_dir, tmp_path):
         other = tmp_path / "other"
         run_cli("synth", "-d", "20", "-m", "200", "-k", "4", "--delta", "1.5",
@@ -275,6 +293,22 @@ class TestUnmix:
         em = open(os.path.join(str(tmp_path / "d"), "endmembers.csv")).read().strip()
         assert len(em.splitlines()) == 1 + 9  # header + 12 - 3 dropped bands
 
+    @pytest.mark.parametrize("spec", ["a", "1-2-3", "5-3"])
+    def test_bad_drop_bands_spec_exits_2(self, cube, tmp_path, spec):
+        path, lib, inst = cube
+        out = tmp_path / "bad"
+        r = run_cli("unmix", path, "-k", "3", "--drop-bands", spec, "--out", str(out))
+        assert r.returncode == 2
+        assert "usage" in r.stderr.lower() and "Traceback" not in r.stderr
+        assert not out.exists()
+
+    def test_drop_bands_out_of_range_exits_3(self, cube, tmp_path):
+        path, lib, inst = cube
+        r = run_cli("unmix", path, "-k", "3", "--drop-bands", "11-13",
+                    "--out", str(tmp_path / "o"))
+        assert r.returncode == 3
+        assert "out of range 1..12" in r.stderr
+
 
 class TestBench:
     def test_tiny_all_suites(self, tmp_path):
@@ -308,13 +342,3 @@ class TestDeterminism:
             assert r.returncode == 0
             outs.append(strip_timing(read_json(rep)))
         assert outs[0] == outs[1]
-
-    def test_backend_fallback_selects_same_indices(self, instance_dir, tmp_path):
-        reps = []
-        for tag, env in (("nb", None), ("np", {"SEPNMF_BACKEND": "numpy"})):
-            rep = str(tmp_path / f"{tag}.json")
-            r = run_cli("select", str(instance_dir / "A.mtx"), "-k", "4",
-                        "--method", "pspa", "--report", rep, env=env)
-            assert r.returncode == 0, r.stderr
-            reps.append(read_json(rep)["records"][0]["indices_1based"])
-        assert reps[0] == reps[1]

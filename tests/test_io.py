@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from sepnmf.errors import BadShapeError
 from sepnmf.io import (
+    BIN_MAGIC,
     matrix_format,
     read_json,
     read_matrix,
@@ -50,6 +53,22 @@ def test_bad_magic_rejected(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     with pytest.raises(BadShapeError):
+        read_matrix(str(p))
+
+
+_MALFORMED = {
+    "short.bin": BIN_MAGIC + struct.pack("<QQ", 3, 4) + b"\x00" * 40,  # 5 of 12 entries
+    "header.bin": BIN_MAGIC + b"\x03\x00\x00",
+    "size.mtx": b"%%MatrixMarket matrix array real general\n2 x\n1\n2\n",
+    "ragged.csv": b"1,2,3\n4,5\n",
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_malformed_file_raises_bad_shape(tmp_path, name):
+    p = tmp_path / name
+    p.write_bytes(_MALFORMED[name])
+    with pytest.raises(BadShapeError, match=name):
         read_matrix(str(p))
 
 

@@ -25,3 +25,10 @@ def _layers():
 def test_traced_function_resolves(module, func):
     owner = importlib.import_module(f"sepnmf.{module}")
     assert callable(getattr(owner, func, None)), f"sepnmf.{module}.{func}"
+
+
+def test_active_backend_is_numpy():
+    # perfbench/run.py's environment() records sepnmf.active_backend() in every run
+    import sepnmf
+
+    assert sepnmf.active_backend() == "numpy"

@@ -10,13 +10,14 @@ select (endmember/column selection, single or batch), unmix
 import argparse
 import os
 import sys
-import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, bench
-from .errors import MissingShapeError, SepnmfError
+from .errors import BadShapeError, MissingShapeError, SepnmfError
 from .io import (
+    open_input,
     read_json,
     read_matrix,
     sha256_of,
@@ -25,8 +26,8 @@ from .io import (
     write_matrix,
     write_pgm,
 )
-from .linalg import spectral_norm, svd_truncated
-from .lowrank import bound_report, rand_subspace_approx, spa_rank_approx
+from .linalg import spectral_norm
+from .lowrank import APPROX_NAMES, approximate, bound_report
 from .metrics import estimate_abundances, recovery_rate, spectral_angle_distance
 from .reports import ExperimentReport, write_report
 from .rng import RNG_NAME
@@ -72,7 +73,7 @@ def build_parser():
     a.add_argument("matrix")
     a.add_argument("-k", type=int, required=True)
     a.add_argument("--q", type=int, default=10)
-    a.add_argument("--method", choices=("spa", "rand", "svd"), default="spa")
+    a.add_argument("--method", choices=APPROX_NAMES, default="spa")
     a.add_argument("--oversample", type=int, default=0)
     a.add_argument("--bounds", action="store_true", help="attach bound diagnostics (method=spa)")
     a.add_argument("--truth", help="instance meta.json for the noise-hypothesis flag")
@@ -220,44 +221,29 @@ def _load_truth(path, A=None):
 
 def cmd_approx(args):
     A = read_matrix(args.matrix, args.format)
-    k, q = args.k, args.q
-    record = {"seed": args.seed, "q": q}
+    ap = approximate(A, args.k, args.method, args.q, args.oversample, args.seed, args.tol)
+    record = {
+        "seed": args.seed,
+        "q": args.q,
+        "abs_error": ap.error2,
+        "rel_error": ap.error2 / spectral_norm(A, args.tol),
+        "timing": ap.timings,
+    }
     bound_fields = None
-    if args.method == "spa":
-        ap = spa_rank_approx(A, k, q, err_tol=args.tol)
-        record["abs_error"] = ap.error2
-        record["timing"] = ap.timings
-        if args.bounds:
-            rep = bound_report(A, ap)
-            bound_fields = {f: getattr(rep, f) for f in (
-                "sigma_k", "sigma_k1", "sigma_min_AI", "rho", "g1_min", "g2_max",
-                "error_bound", "margin_bound", "quadratic_rhs", "achieved_error",
-                "rank_b", "q", "singular_z1",
-            )}
-            bound_fields["hypothesis_satisfied"] = "not_applicable"
-            if args.truth:
-                meta, _ = _load_truth(args.truth, A)
-                if "robust_noise_bound" in meta and "delta" in meta:
-                    bound_fields["hypothesis_satisfied"] = bool(
-                        meta["delta"] < meta["robust_noise_bound"]
-                    )
-    elif args.method == "rand":
-        ap = rand_subspace_approx(A, k, q, args.oversample, args.seed, err_tol=args.tol)
-        record["abs_error"] = ap.error2
-        record["timing"] = ap.timings
-        if args.bounds:
-            print("note: --bounds applies to method=spa only; skipped", file=sys.stderr)
-    else:
-        t0 = time.perf_counter()
-        f = svd_truncated(A, k)
-        B = f.U @ (f.S[:, None] * f.V.T)
-        t1 = time.perf_counter()
-        record["abs_error"] = spectral_norm(A - B, args.tol)
-        record["timing"] = {"svd": t1 - t0, "error_norm": time.perf_counter() - t1}
-    record["rel_error"] = record["abs_error"] / spectral_norm(A, args.tol)
+    if args.bounds and args.method != "spa":
+        print("note: --bounds applies to method=spa only; skipped", file=sys.stderr)
+    elif args.bounds:
+        bound_fields = asdict(bound_report(A, ap))
+        bound_fields["hypothesis_satisfied"] = "not_applicable"
+        if args.truth:
+            meta, _ = _load_truth(args.truth, A)
+            if "robust_noise_bound" in meta and "delta" in meta:
+                bound_fields["hypothesis_satisfied"] = bool(
+                    meta["delta"] < meta["robust_noise_bound"]
+                )
     report = ExperimentReport(
         method=args.method,
-        parameters={"d": A.shape[0], "m": A.shape[1], "k": k, "q": q,
+        parameters={"d": A.shape[0], "m": A.shape[1], "k": args.k, "q": args.q,
                     "oversample": args.oversample, "seed": args.seed,
                     "matrix": os.path.basename(args.matrix)},
         records=[record],
@@ -349,11 +335,22 @@ def _kept_bands(ranges, d):
     return np.flatnonzero(keep)
 
 
-def _read_library(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return [h.strip() for h in header], data
+def _read_library(path, bands):
+    """Material names and the bands x materials spectra of a library CSV
+    (header = names); anything else raises BadShapeError naming the file."""
+    with open_input(path) as fh:
+        names = [h.strip() for h in fh.readline().strip().split(",")]
+        try:
+            lib = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise BadShapeError(f"{path}: malformed library CSV ({exc})") from None
+    if lib.shape[1] != len(names) or not np.isfinite(lib).all():
+        raise BadShapeError(f"{path}: every row needs {len(names)} finite values, one per name")
+    if lib.shape[0] != bands:
+        raise BadShapeError(
+            f"{path}: library has {lib.shape[0]} bands but the (filtered) cube has {bands}"
+        )
+    return names, lib
 
 
 def cmd_unmix(args):
@@ -362,6 +359,8 @@ def cmd_unmix(args):
     meta = read_json(meta_path) if os.path.exists(meta_path) else {}
     if args.drop_bands:
         A = np.ascontiguousarray(A[_kept_bands(args.drop_bands, A.shape[0])])
+    if args.library:
+        names, lib = _read_library(args.library, A.shape[0])
     q = resolve_q(args.method, args.q)
     res = select(A, args.k, args.method, q, args.eps)
     order = np.sort(res.indices)
@@ -377,11 +376,6 @@ def cmd_unmix(args):
     files = ["endmembers.csv", f"abundances.{fmt}"]
     sad_rows = None
     if args.library:
-        names, lib = _read_library(args.library)
-        if lib.shape[0] != A.shape[0]:
-            raise SepnmfError(
-                f"library has {lib.shape[0]} bands but the (filtered) cube has {A.shape[0]}"
-            )
         sad_rows = []
         for i in range(F_sel.shape[1]):
             sads = [spectral_angle_distance(lib[:, j], F_sel[:, i]) for j in range(lib.shape[1])]

@@ -22,6 +22,10 @@ class BadShapeError(SepnmfError):
     """Input dimensions are invalid or inconsistent."""
 
 
+class InputFileError(SepnmfError):
+    """An input file is missing or cannot be opened."""
+
+
 class ShapeMismatchError(SepnmfError):
     """Two operands that must share a shape do not."""
 

@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import BadShapeError, NonFiniteError
+from .errors import BadShapeError, InputFileError, NonFiniteError
 
 BIN_MAGIC = b"SNMFBIN1"
 FORMATS = ("mtx", "bin", "csv")
@@ -66,12 +66,21 @@ def write_matrix(path, A, fmt=None):
     _atomic_write(path, payload)
 
 
+def open_input(path, mode="r"):
+    """open() for reading; a missing or unopenable file raises InputFileError naming it."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise InputFileError(f"{path}: cannot open ({exc.strerror or exc})") from None
+
+
 def read_matrix(path, fmt=None):
-    """Read a dense matrix; a malformed file raises BadShapeError naming it."""
+    """Read a dense matrix; a missing file raises InputFileError and a
+    malformed one BadShapeError, each naming it."""
     fmt = matrix_format(path, fmt)
     if fmt == "mtx":
         try:
-            with open(path) as fh:
+            with open_input(path) as fh:
                 header = fh.readline().strip().lower()
                 if not header.startswith("%%matrixmarket matrix array real"):
                     raise BadShapeError(f"{path}: not a Matrix Market array file")
@@ -86,7 +95,7 @@ def read_matrix(path, fmt=None):
             raise BadShapeError(f"{path}: size line says {d} x {m}, got {data.size} entries")
         A = data.reshape(m, d).T.copy()
     elif fmt == "bin":
-        with open(path, "rb") as fh:
+        with open_input(path, "rb") as fh:
             magic = fh.read(8)
             if magic != BIN_MAGIC:
                 raise BadShapeError(f"{path}: bad magic {magic!r}")
@@ -102,7 +111,8 @@ def read_matrix(path, fmt=None):
         A = np.frombuffer(payload, dtype="<f8").reshape(d, m).copy()
     else:
         try:
-            A = np.loadtxt(path, delimiter=",", ndmin=2)
+            with open_input(path) as fh:
+                A = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise BadShapeError(f"{path}: malformed CSV matrix ({exc})") from None
     if not np.isfinite(A).all():
@@ -115,8 +125,13 @@ def write_json(path, obj):
 
 
 def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """Parse a JSON file; a missing file raises InputFileError and a
+    malformed one BadShapeError, each naming it."""
+    with open_input(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, also undecodable bytes
+            raise BadShapeError(f"{path}: malformed JSON ({exc})") from None
 
 
 def write_csv_rows(path, header, rows):

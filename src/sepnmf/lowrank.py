@@ -1,19 +1,28 @@
-"""Rank-k approximation by subspace iteration.
+"""Rank-k approximation: one pipeline, three seeds.
 
-Two seeding strategies share one stabilized power loop: the columns
-picked by successive projection (deterministic) or a seeded Gaussian
-test matrix with optional oversampling. The bound diagnostics evaluate
-every quantity of the approximation-error analysis on a concrete run
-using the full SVD.
+approximate(A, k, method, q) runs each engine through the same timed
+stages: seed, power (q rounds of stabilized subspace iteration), form_b
+(B = Q Q^T A) and error_norm (the measured spectral norm of A - B).
+The engines differ only in their seed:
+
+  spa   the k columns picked by successive projection (deterministic);
+  rand  A times a seeded Gaussian test matrix with k + oversample
+        columns, cut back to rank k after the power stage;
+  svd   the truncated SVD, which forms B = U_k S_k V_k^T itself: the
+        optimal rank-k reference for the other two.
+
+spa_rank_approx and rand_subspace_approx are shorthands for the first
+two. The bound diagnostics evaluate every quantity of the
+approximation-error analysis on a concrete spa run using the full SVD.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadRankError
-from .linalg import as_matrix, orthonormalize, singular_values, spectral_norm, svd_full
+from .linalg import as_matrix, orthonormalize, singular_values, spectral_norm, svd_full, svd_truncated
+from .reports import stage
 from .rng import SplitMix64
 from .spa import spa_select
 
@@ -21,6 +30,10 @@ _ERR_TOL = 1e-9
 _RANK_B_REL = 1e-10
 _SINGULAR_G1_REL = 1e-12
 BOUND_MARGIN_CONSTANT = 20164.0  # = 142^2, the squared margin constant of the error bound
+
+# method -> timing key of its seed stage
+_SEED_STAGE = {"spa": "spa", "rand": "sample", "svd": "svd"}
+APPROX_NAMES = tuple(_SEED_STAGE)
 
 
 @dataclass
@@ -71,88 +84,69 @@ def subspace_basis(A, start, q):
     return Q
 
 
-def spa_rank_approx(A, k, q, err_tol=_ERR_TOL):
-    """Rank-k approximation seeded by the k successively projected columns.
+def approximate(A, k, method, q, oversample=0, seed=0, err_tol=_ERR_TOL):
+    """Rank-k approximation of A by the engine `method`, one of APPROX_NAMES.
 
-    B = Q Q^T A where Q spans range((A A^T)^q A(I)); error2 is the measured
-    spectral norm of A - B. A rank collapse during iteration is reported via
-    the flag, not raised.
+    Stage times go to `timings` under the seed's key (`spa`, `sample` or
+    `svd`), `power`, `form_b` and `error_norm`. oversample and seed shape
+    the rand sketch only; svd ignores q. A rank collapse during iteration
+    is flagged in rank_collapsed, not raised.
     """
+    if method not in _SEED_STAGE:
+        raise ValueError(f"unknown approximation {method!r}; expected one of {APPROX_NAMES}")
     A = as_matrix(A)
-    if q < 0:
+    d, m = A.shape
+    if method == "spa" and q < 0:
         raise BadRankError(f"q must be >= 0, got {q}")
-    timings = {}
-    t0 = time.perf_counter()
-    idx = spa_select(A, k)
-    t1 = time.perf_counter()
-    Q = subspace_basis(A, np.ascontiguousarray(A[:, idx]), q)
-    t2 = time.perf_counter()
-    B = Q @ (Q.T @ A)
-    t3 = time.perf_counter()
-    err = spectral_norm(A - B, err_tol)
-    t4 = time.perf_counter()
-    timings["spa"] = t1 - t0
-    timings["power"] = t2 - t1
-    timings["form_b"] = t3 - t2
-    timings["error_norm"] = t4 - t3
+    if method == "rand":
+        if q < 0 or oversample < 0:
+            raise BadRankError("q and oversample must be >= 0")
+        if not (1 <= k <= min(d, m)) or k + oversample > min(d, m):
+            raise BadRankError(
+                f"need 1 <= k and k + oversample <= {min(d, m)}, got k={k}, oversample={oversample}"
+            )
+    timings, idx = {}, None
+    with stage(timings, _SEED_STAGE[method]):
+        if method == "spa":
+            idx = spa_select(A, k)
+            start = np.ascontiguousarray(A[:, idx])
+        elif method == "rand":
+            start = A @ SplitMix64(seed).normal_matrix(m, k + oversample)
+        else:
+            f = svd_truncated(A, k)
+            Q, B = f.U, f.U @ (f.S[:, None] * f.V.T)
+    if method != "svd":
+        with stage(timings, "power"):
+            Q = subspace_basis(A, start, q)
+            if Q.shape[1] > k:
+                # truncate the oversampled sketch back to rank k (top-k SVD of Q^T A)
+                Q = np.ascontiguousarray(Q @ svd_truncated(Q.T @ A, k).U)
+        with stage(timings, "form_b"):
+            B = Q @ (Q.T @ A)
+    with stage(timings, "error_norm"):
+        err = spectral_norm(A - B, err_tol)
+    rand = method == "rand"
     return RankKApprox(
         Q=Q,
         B=B,
         q=q,
         error2=err,
         seed_indices=idx,
+        oversample=oversample if rand else 0,
+        seed=seed if rand else None,
         rank_collapsed=Q.shape[1] < k,
         timings=timings,
     )
+
+
+def spa_rank_approx(A, k, q, err_tol=_ERR_TOL):
+    """Rank-k approximation seeded by the k successively projected columns."""
+    return approximate(A, k, "spa", q, err_tol=err_tol)
 
 
 def rand_subspace_approx(A, k, q, oversample=0, seed=0, err_tol=_ERR_TOL):
-    """Gaussian-seeded randomized subspace iteration.
-
-    With oversample = p > 0 the sketch has k+p columns and B is truncated
-    back to rank k through the SVD of the compressed matrix Q^T A; with
-    p = 0 it reduces to B = Q Q^T A. The Gaussian test matrix comes from
-    the seeded splitmix64 stream, so runs are reproducible.
-    """
-    A = as_matrix(A)
-    d, m = A.shape
-    if q < 0 or oversample < 0:
-        raise BadRankError("q and oversample must be >= 0")
-    ell = k + oversample
-    if not (1 <= k <= min(d, m)) or ell > min(d, m):
-        raise BadRankError(
-            f"need 1 <= k and k + oversample <= {min(d, m)}, got k={k}, oversample={oversample}"
-        )
-    timings = {}
-    t0 = time.perf_counter()
-    omega = SplitMix64(seed).normal_matrix(m, ell)
-    t1 = time.perf_counter()
-    Q = subspace_basis(A, A @ omega, q)
-    if Q.shape[1] > k:
-        # truncate the oversampled sketch back to rank k (top-k SVD of Q^T A)
-        from .linalg import svd_truncated
-
-        pk = svd_truncated(Q.T @ A, k)
-        Q = np.ascontiguousarray(Q @ pk.U)
-    t2 = time.perf_counter()
-    B = Q @ (Q.T @ A)
-    t3 = time.perf_counter()
-    err = spectral_norm(A - B, err_tol)
-    t4 = time.perf_counter()
-    timings["sample"] = t1 - t0
-    timings["power"] = t2 - t1
-    timings["form_b"] = t3 - t2
-    timings["error_norm"] = t4 - t3
-    return RankKApprox(
-        Q=Q,
-        B=B,
-        q=q,
-        error2=err,
-        oversample=oversample,
-        seed=seed,
-        rank_collapsed=Q.shape[1] < k,
-        timings=timings,
-    )
+    """Gaussian-seeded randomized subspace iteration, reproducible by seed."""
+    return approximate(A, k, "rand", q, oversample, seed, err_tol)
 
 
 def bound_report(A, approx):

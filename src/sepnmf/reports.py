@@ -5,6 +5,8 @@ whenever a report is loaded, so a report file cannot silently disagree
 with its own records. Every record carries the seed that reproduces it.
 """
 
+import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,6 +68,14 @@ def load_report(path):
             ):
                 raise ValueError(f"report {path}: aggregate {key}.{stat} does not match records")
     return data
+
+
+@contextmanager
+def stage(timings, name):
+    """Add the wall time of the with-block to timings[name], in seconds."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
 def strip_timing(obj):

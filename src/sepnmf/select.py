@@ -25,8 +25,6 @@ method)` runs any of them; the `*_select` functions are its shorthands.
 Selection indices always refer to columns of the original matrix.
 """
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +32,8 @@ import numpy as np
 from .errors import BadRankError, RankDeficientError
 from .linalg import as_matrix, psd_sqrt, svd_full, svd_truncated
 from .lowrank import BoundReport, bound_report, spa_rank_approx, subspace_basis
-from .mvee import DEFAULT_EPS, solve_mvee
+from .mvee import DEFAULT_EPS, ellipsoid_support, solve_mvee
+from .reports import stage
 from .spa import spa_select
 
 DEFAULT_BOUNDARY_TOL = 1e-3
@@ -71,16 +70,8 @@ def resolve_q(method, q=None):
     return q
 
 
-@contextmanager
-def _stage(timing, name):
-    t0 = time.perf_counter()
-    yield
-    timing[name] = timing.get(name, 0.0) + time.perf_counter() - t0
-
-
 def _boundary_pick(P, ell, C, k, boundary_tol, notes):
-    vals = np.einsum("ji,jl,li->i", P, ell.L, P)
-    cand = np.flatnonzero(np.abs(vals - 1.0) <= boundary_tol)
+    cand = np.flatnonzero(np.abs(ellipsoid_support(ell, P) - 1.0) <= boundary_tol)
     if cand.size < k:
         # too few boundary points: degrade to selection on the whitened data
         notes.append(f"only {cand.size} boundary points; fell back to whitened selection")
@@ -119,12 +110,12 @@ def select(A, k, method, q=None, eps=DEFAULT_EPS, boundary_tol=DEFAULT_BOUNDARY_
 
     # compress: P holds A's columns in k coordinates, f the SVD sigma whitens by
     if compress == "svd":
-        with _stage(timing, "svd"):
+        with stage(timing, "svd"):
             f = svd_truncated(A, k)
             if whiten == "mvee":
                 P = np.ascontiguousarray(f.S[:, None] * f.V.T)
     elif compress == "subspace":
-        with _stage(timing, "subspace"):
+        with stage(timing, "subspace"):
             if diagnostics:
                 approx = spa_rank_approx(A, k, q)
                 Q = approx.Q
@@ -135,21 +126,21 @@ def select(A, k, method, q=None, eps=DEFAULT_EPS, boundary_tol=DEFAULT_BOUNDARY_
             raise RankDeficientError(f"{method}: iterated basis has rank {Q.shape[1]} < k={k}")
         P = np.ascontiguousarray(Q.T @ A)
     elif compress == "seed-svd":
-        with _stage(timing, "spa_seed"):
+        with stage(timing, "spa_seed"):
             idx0 = spa_select(A, k)
-        with _stage(timing, "svd"):
+        with stage(timing, "svd"):
             f = svd_full(np.ascontiguousarray(A[:, idx0]))
 
     # whiten: the pick stage works on C @ X
     C, X, preconditioner = None, A, None
     if whiten == "mvee":
-        with _stage(timing, "mvee"):
+        with stage(timing, "mvee"):
             ell = solve_mvee(P, eps)
-        with _stage(timing, "sqrt"):
+        with stage(timing, "sqrt"):
             C = psd_sqrt(ell.L)
         X, preconditioner = P, C
     elif whiten == "sigma":
-        with _stage(timing, "svd"):
+        with stage(timing, "svd"):
             if f.S[-1] <= 1e-12 * f.S[0]:
                 raise BadRankError(
                     f"{method}: sigma_{k} is numerically zero" if compress == "svd"
@@ -160,10 +151,10 @@ def select(A, k, method, q=None, eps=DEFAULT_EPS, boundary_tol=DEFAULT_BOUNDARY_
         preconditioner = np.diag(1.0 / (f.S * f.S))
 
     if pick == "spa":
-        with _stage(timing, "spa"):
+        with stage(timing, "spa"):
             idx = spa_select(A if C is None else np.ascontiguousarray(C @ X), k)
     else:
-        with _stage(timing, "boundary"):
+        with stage(timing, "boundary"):
             idx = _boundary_pick(P, ell, C, k, boundary_tol, notes)
     return SelectorResult(
         indices=idx,

@@ -86,6 +86,15 @@ class TestApprox:
         assert rep["bound_fields"]["rank_b"] == 4
         assert rep["bound_fields"]["hypothesis_satisfied"] in (True, False)
 
+    @pytest.mark.parametrize("method", ["rand", "svd"])
+    def test_bounds_note_for_non_spa_methods(self, instance_dir, tmp_path, method):
+        rep_path = str(tmp_path / "rep.json")
+        r = run_cli("approx", str(instance_dir / "A.mtx"), "-k", "4", "--method", method,
+                    "--bounds", "--report", rep_path)
+        assert r.returncode == 0, r.stderr
+        assert "note: --bounds applies to method=spa only; skipped" in r.stderr
+        assert read_json(rep_path)["bound_fields"] is None
+
     def test_svd_and_spa_close_under_hypothesis(self, tmp_path):
         inst = generate_instance(20, 150, 4, 0.0, seed=31)
         from sepnmf.synth import rescale_noise, robust_noise_bound
@@ -210,6 +219,19 @@ class TestSelect:
         assert r.returncode == 3
         assert "bad.csv" in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("matrix, truth", [
+        pytest.param("nope.mtx", None, id="missing-matrix"),
+        pytest.param(None, "bad.json", id="malformed-truth"),
+    ])
+    def test_unreadable_input_exits_3(self, instance_dir, tmp_path, matrix, truth):
+        (tmp_path / "bad.json").write_text("not json")
+        args = [str(tmp_path / matrix) if matrix else str(instance_dir / "A.mtx"), "-k", "4"]
+        if truth:
+            args += ["--truth", str(tmp_path / truth)]
+        r = run_cli("select", *args)
+        assert r.returncode == 3
+        assert (matrix or truth) in r.stderr and "Traceback" not in r.stderr
+
     def test_mismatched_truth_rejected(self, instance_dir, tmp_path):
         other = tmp_path / "other"
         run_cli("synth", "-d", "20", "-m", "200", "-k", "4", "--delta", "1.5",
@@ -276,6 +298,23 @@ class TestUnmix:
         assert r.returncode == 2
         assert "invalid choice" in r.stderr and "Traceback" not in r.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param("1,2,3\n4,5\n", id="ragged"),
+        pytest.param("1,2,x\n", id="non-numeric"),
+        pytest.param("1,2\n" * 12, id="fewer-columns-than-names"),
+        pytest.param("1,2,3\n" * 11, id="fewer-bands-than-cube"),
+    ])
+    def test_bad_library_exits_3_before_writing(self, cube, tmp_path, rows):
+        path, lib, inst = cube
+        bad = tmp_path / "badlib.csv"
+        bad.write_text("matA,matB,matC\n" + rows)
+        out = tmp_path / "o"
+        out.mkdir()
+        r = run_cli("unmix", path, "-k", "3", "--library", str(bad), "--out", str(out))
+        assert r.returncode == 3
+        assert "badlib.csv" in r.stderr and "Traceback" not in r.stderr
+        assert os.listdir(out) == []
 
     def test_missing_shape_for_rasters(self, tmp_path):
         inst = generate_instance(8, 30, 3, 0.0, seed=2)

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from sepnmf.errors import BadShapeError
+from sepnmf.errors import BadShapeError, InputFileError
 from sepnmf.io import (
     BIN_MAGIC,
     matrix_format,
@@ -70,6 +70,22 @@ def test_malformed_file_raises_bad_shape(tmp_path, name):
     p.write_bytes(_MALFORMED[name])
     with pytest.raises(BadShapeError, match=name):
         read_matrix(str(p))
+
+
+@pytest.mark.parametrize("name, payload, reader, error", [
+    ("missing.mtx", None, read_matrix, InputFileError),
+    ("missing.bin", None, read_matrix, InputFileError),
+    ("missing.csv", None, read_matrix, InputFileError),
+    ("missing.json", None, read_json, InputFileError),
+    ("bad.json", b"not json", read_json, BadShapeError),
+    ("binary.json", b"\xff\xfe{", read_json, BadShapeError),
+])
+def test_unreadable_input_raises_typed_error(tmp_path, name, payload, reader, error):
+    p = tmp_path / name
+    if payload is not None:
+        p.write_bytes(payload)
+    with pytest.raises(error, match=name):
+        reader(str(p))
 
 
 def test_pgm_output(tmp_path):

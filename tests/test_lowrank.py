@@ -3,8 +3,14 @@ import pytest
 from oracles import projector_approx
 
 from sepnmf.errors import BadRankError
-from sepnmf.linalg import singular_values, spectral_norm
-from sepnmf.lowrank import bound_report, rand_subspace_approx, spa_rank_approx
+from sepnmf.linalg import singular_values, spectral_norm, svd_truncated
+from sepnmf.lowrank import (
+    APPROX_NAMES,
+    approximate,
+    bound_report,
+    rand_subspace_approx,
+    spa_rank_approx,
+)
 from sepnmf.rng import SplitMix64
 from sepnmf.synth import generate_instance, rescale_noise, robust_noise_bound
 
@@ -114,6 +120,35 @@ class TestRandSubspaceApprox:
     def test_bad_oversample(self):
         with pytest.raises(BadRankError):
             rand_subspace_approx(np.eye(4), 3, 1, 5, seed=0)
+
+
+def test_approximate_matches_shorthands():
+    A = _bounded_instance(16, 90, 4, seed=12, frac=3.0).A
+    k, q = 4, 2
+    for oversample in (0, 2):
+        shorthands = {  # spa has no sketch, so oversample leaves it unchanged
+            "spa": spa_rank_approx(A, k, q),
+            "rand": rand_subspace_approx(A, k, q, oversample, seed=7),
+        }
+        for method, want in shorthands.items():
+            got = approximate(A, k, method, q, oversample, seed=7)
+            assert np.array_equal(got.Q, want.Q) and np.array_equal(got.B, want.B)
+            assert got.error2 == want.error2
+            assert np.array_equal(got.seed_indices, want.seed_indices)
+            assert (got.oversample, got.seed) == (want.oversample, want.seed)
+            assert set(got.timings) == set(want.timings)
+    assert set(shorthands["spa"].timings) == {"spa", "power", "form_b", "error_norm"}
+    assert set(shorthands["rand"].timings) == {"sample", "power", "form_b", "error_norm"}
+
+    ap = approximate(A, k, "svd", q)
+    s = singular_values(A)
+    assert abs(ap.error2 - s[k]) <= 1e-10 * s[0]
+    f = svd_truncated(A, k)
+    assert np.array_equal(ap.B, f.U @ (f.S[:, None] * f.V.T))
+    assert set(ap.timings) == {"svd", "error_norm"}
+    assert APPROX_NAMES == ("spa", "rand", "svd")
+    with pytest.raises(ValueError, match="unknown approximation"):
+        approximate(A, k, "qr", q)
 
 
 class TestBoundReport:

@@ -355,8 +355,16 @@ def _read_library(path, bands):
 
 def cmd_unmix(args):
     A = read_matrix(args.matrix, args.format)
+    # an explicit --meta must exist; the default <matrix>.json is optional
     meta_path = args.meta or args.matrix + ".json"
-    meta = read_json(meta_path) if os.path.exists(meta_path) else {}
+    meta = read_json(meta_path) if args.meta or os.path.exists(meta_path) else {}
+    if not isinstance(meta, dict):
+        raise BadShapeError(f"{meta_path}: sidecar must be a JSON object")
+    height, width = meta.get("height"), meta.get("width")
+    if height and width and height * width != A.shape[1]:
+        raise SepnmfError(f"height*width = {height * width} != {A.shape[1]} pixels")
+    if args.rasters and not (height and width):
+        raise MissingShapeError("rasters requested but sidecar has no height/width")
     if args.drop_bands:
         A = np.ascontiguousarray(A[_kept_bands(args.drop_bands, A.shape[0])])
     if args.library:
@@ -388,16 +396,11 @@ def cmd_unmix(args):
         )
         files.append("sad_table.csv")
 
-    height, width = meta.get("height"), meta.get("width")
     if height and width:
-        if height * width != A.shape[1]:
-            raise SepnmfError(f"height*width = {height * width} != {A.shape[1]} pixels")
         for i in range(ab.W.shape[0]):
             name = f"abundance_{i + 1:02d}.pgm"
             write_pgm(os.path.join(args.out, name), ab.W[i].reshape(height, width))
             files.append(name)
-    elif args.rasters:
-        raise MissingShapeError("rasters requested but sidecar has no height/width")
 
     write_json(
         os.path.join(args.out, "report.json"),

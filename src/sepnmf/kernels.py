@@ -11,49 +11,64 @@ import math
 import numpy as np
 
 
+def _round_robin(r):
+    # Brent-Luk schedule by the circle method: r - 1 rounds (r for odd r,
+    # where slot r is a bye) of floor(r/2) disjoint pairs (i < j); over
+    # the rounds every pair appears exactly once.
+    slots = list(range(r + r % 2))
+    n = len(slots)
+    rounds = []
+    for _ in range(n - 1):
+        pairs = np.array([sorted((slots[p], slots[n - 1 - p])) for p in range(n // 2)], dtype=np.intp)
+        pairs = pairs[pairs[:, 1] < r]
+        if pairs.size:
+            rounds.append((pairs[:, 0], pairs[:, 1]))
+        slots = slots[:1] + slots[-1:] + slots[1:-1]
+    return rounds
+
+
 def svd_jacobi_rows(X, R, tol, floor2, max_sweeps):
     # Orthogonalize the rows of X in place by plane rotations, accumulating
     # the same rotations in R (so original X = R.T @ final X). Rows whose
     # squared norm is at or below floor2 count as numerically zero and are
-    # left alone. Returns the number of sweeps used; a sweep with no
-    # rotations means convergence.
-    r = X.shape[0]
-    norms2 = np.empty(r)
+    # left alone. A sweep visits every pair once, in round-robin rounds of
+    # disjoint pairs that are rotated together. Returns the number of
+    # sweeps used; a sweep with no rotations means convergence.
+    n = X.shape[1]
+    XR = np.concatenate([X, R], axis=1)  # one gather/scatter rotates both
+    rounds = _round_robin(X.shape[0])
+    tol2 = tol * tol
     sweeps = 0
     for _sweep in range(max_sweeps):
-        for i in range(r):
-            norms2[i] = np.dot(X[i], X[i])
+        norms2 = np.einsum("ij,ij->i", XR[:, :n], XR[:, :n])
         rotated = 0
-        for i in range(r - 1):
-            for j in range(i + 1, r):
-                a = norms2[i]
-                b = norms2[j]
-                if a <= floor2 or b <= floor2:
+        for I, J in rounds:
+            a = norms2[I]
+            b = norms2[J]
+            xi = XR[I]
+            xj = XR[J]
+            c = np.einsum("ij,ij->i", xi[:, :n], xj[:, :n])
+            live = (np.minimum(a, b) > floor2) & (c * c > tol2 * (a * b))
+            if not live.all():
+                if not live.any():
                     continue
-                xi = X[i]
-                xj = X[j]
-                c = np.dot(xi, xj)
-                if abs(c) <= tol * math.sqrt(a * b):
-                    continue
-                rotated += 1
-                zeta = (b - a) / (2.0 * c)
-                if zeta >= 0.0:
-                    t = 1.0 / (zeta + math.sqrt(1.0 + zeta * zeta))
-                else:
-                    t = -1.0 / (-zeta + math.sqrt(1.0 + zeta * zeta))
-                cs = 1.0 / math.sqrt(1.0 + t * t)
-                sn = cs * t
-                tmp = cs * xi - sn * xj
-                X[j] = sn * xi + cs * xj
-                X[i] = tmp
-                norms2[i] = max(a - t * c, 0.0)
-                norms2[j] = max(b + t * c, 0.0)
-                ri = R[i].copy()
-                R[i] = cs * ri - sn * R[j]
-                R[j] = sn * ri + cs * R[j]
+                I, J, a, b, c, xi, xj = I[live], J[live], a[live], b[live], c[live], xi[live], xj[live]
+            rotated += I.size
+            zeta = (b - a) / (2.0 * c)
+            t = np.copysign(1.0 / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)), zeta)
+            cs = 1.0 / np.sqrt(1.0 + t * t)
+            sn = cs * t
+            cs, sn = cs[:, None], sn[:, None]
+            XR[I] = cs * xi - sn * xj
+            XR[J] = sn * xi + cs * xj
+            tc = t * c
+            norms2[I] = np.maximum(a - tc, 0.0)
+            norms2[J] = np.maximum(b + tc, 0.0)
         sweeps += 1
         if rotated == 0:
             break
+    X[:] = XR[:, :n]
+    R[:] = XR[:, n:]
     return sweeps
 
 

@@ -1,11 +1,19 @@
 """Dense linear-algebra backbone: spectral norm, SVD, orthonormalization
 and the symmetric PSD square root.
 
-The SVD is a self-contained one-sided Jacobi on the short side of the
-matrix. It is deterministic and delivers high relative accuracy on every
-singular value, which the bound diagnostics rely on (tiny sigma_{k+1}
-against 1e-10 absolute slacks). Both factors come out orthonormal to
-machine precision.
+The SVD is a self-contained one-sided Jacobi. A wide d x m input (tall
+ones transposed) is first reduced to the d x d triangular factor of a
+Householder QR of A^T, and the Jacobi sweeps run on that factor (Drmac &
+Veselic, SIMAX 2008). The QR is backward stable column by column, so the
+SVD stays deterministic with high relative accuracy on every singular
+value, which the bound diagnostics rely on (tiny sigma_{k+1} against
+1e-10 absolute slacks). The long-side factor is formed once, from the
+QR's reflectors and only for the columns the caller needs. Both factors
+come out orthonormal to machine precision.
+
+spectral_norm reduces a wide input through its d x d Gram matrix A A^T
+instead: squaring loses only the small singular values, and sigma_max is
+the only one read from it, while a QR would copy the input.
 """
 
 from dataclasses import dataclass
@@ -13,10 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BadRankError, NonFiniteError, NotPsdError, NotSymmetricError
+from .errors import (
+    BadRankError,
+    NoConvergenceError,
+    NonFiniteError,
+    NotPsdError,
+    NotSymmetricError,
+)
 
 _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 60
+_POWER_MAX_ITERS = 10000
 
 
 def as_matrix(A, name="A"):
@@ -41,77 +56,93 @@ class SvdResult:
 def spectral_norm(A, tol=1e-10):
     """Largest singular value by power iteration on A^T A.
 
-    Deterministic: starts from the normalized all-ones vector and stops when
-    successive Rayleigh quotients differ by less than tol times the current
-    value (hard cap 10 000 iterations).
+    Deterministic: starts from the normalized all-ones vector v and stops
+    when successive Rayleigh quotients differ by less than tol times the
+    current value. The iteration runs on the short side: in w = A v with
+    G = A A^T when A is wide (in v with G = A^T A when tall), so each step
+    costs O(min(d, m)^2) and A is never copied. Raises NoConvergenceError
+    after _POWER_MAX_ITERS steps.
     """
     A = as_matrix(A)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    m = A.shape[1]
-    v = np.full(m, 1.0 / np.sqrt(m))
+    d, m = A.shape
+    tall = d > m
+    G = A.T @ A if tall else A @ A.T
+    x = np.full(m, 1.0 / np.sqrt(m))
+    if not tall:
+        x = A @ x
     lam = 0.0
-    for _ in range(10000):
-        w = A @ v
-        lam_new = float(w @ w)
+    for _ in range(_POWER_MAX_ITERS):
+        g = G @ x
+        xg = float(x @ g)
+        # Rayleigh quotient |A v|^2: v^T G v when tall, |w|^2 when wide
+        lam_new = xg if tall else float(x @ x)
         if lam_new == 0.0:
             return 0.0
-        v = w @ A
-        v /= np.linalg.norm(v)
+        x = g / (np.linalg.norm(g) if tall else np.sqrt(xg))
         if abs(lam_new - lam) < tol * lam_new:
-            lam = lam_new
-            break
+            return float(np.sqrt(lam_new))
         lam = lam_new
-    return float(np.sqrt(lam))
+    raise NoConvergenceError(
+        f"spectral_norm: no convergence in {_POWER_MAX_ITERS} power steps (tol={tol:g})"
+    )
 
 
-def _jacobi_svd(A):
-    """Full SVD core. Returns (U, S, V) with r = min(d, m) columns."""
-    d, m = A.shape
-    transposed = d > m
-    # explicit copies: the kernel rotates X in place and must never alias A
-    X = A.T.copy() if transposed else A.copy()
-    r, n = X.shape
+def _apply_q(h, tau, Z):
+    """Q @ Z for the Q of numpy.linalg.qr(..., mode="raw") output (h, tau),
+    applying the Householder reflectors to Z padded with zero rows, so the
+    long n x r factor Q is never formed."""
+    out = np.zeros((h.shape[1], Z.shape[1]))
+    out[: Z.shape[0]] = Z
+    for j in range(tau.size - 1, -1, -1):
+        v = h[j, j:].copy()
+        v[0] = 1.0
+        out[j:] -= np.outer(tau[j] * v, v @ out[j:])
+    return out
+
+
+def _jacobi_svd(A, k):
+    """SVD core. Returns (U, S, V): all r = min(d, m) singular values and the
+    leading k singular vector pairs (k = 0 returns S alone)."""
+    transposed = A.shape[0] > A.shape[1]
+    Y = A.T if transposed else A  # r x n with r <= n
+    r = Y.shape[0]
+    # Y^T = Q T (Householder, column-wise backward stable), so Y = X Q^T
+    # with X = T^T, and the Jacobi sweeps rotate r x r rows instead of
+    # r x n. The kernel rotates X in place; np.tril copies out of h.
+    h, tau = np.linalg.qr(Y.T, mode="raw")
+    X = np.tril(h[:, :r])
     R = np.eye(r)
     # rows at or below 1e-15 of the total norm are numerically zero
     floor2 = (1e-15 * float(np.linalg.norm(X))) ** 2
-    kernels.svd_jacobi_rows(X, R, _JACOBI_TOL, floor2, _JACOBI_MAX_SWEEPS)
-    s = np.sqrt((X * X).sum(axis=1))
+    # sweep cap + 1 runs only when the last allowed sweep still rotated
+    sweeps = kernels.svd_jacobi_rows(X, R, _JACOBI_TOL, floor2, _JACOBI_MAX_SWEEPS + 1)
+    if sweeps > _JACOBI_MAX_SWEEPS:
+        raise NoConvergenceError(f"Jacobi SVD: rotations left after {_JACOBI_MAX_SWEEPS} sweeps")
+    s = np.sqrt(np.einsum("ij,ij->i", X, X))
     order = np.argsort(-s, kind="stable")
     s = s[order]
-    left = R.T[:, order]
-    rows = X[order]
-    right = np.zeros((n, r))
-    for i in range(r):
-        if s[i] > 0.0:
-            right[:, i] = rows[i] / s[i]
-    # complete an orthonormal right factor for exactly-zero singular values
-    zero = np.flatnonzero(s == 0.0)
-    if zero.size:
-        basis = right[:, s > 0.0]
-        fill = 0
-        for cand in range(n):
-            if fill == zero.size:
-                break
-            e = np.zeros(n)
-            e[cand] = 1.0
-            for _rep in range(2):
-                if basis.shape[1]:
-                    e -= basis @ (basis.T @ e)
-            ne = np.linalg.norm(e)
-            if ne > 1e-8:
-                e /= ne
-                right[:, zero[fill]] = e
-                basis = np.concatenate([basis, e[:, None]], axis=1)
-                fill += 1
+    if k == 0:
+        return None, s, None
+    short = np.ascontiguousarray(R[order[:k]].T)
+    # right singular vectors of X; where s is numerically zero, complete
+    # them to an orthonormal basis of R^r instead
+    live = int(np.count_nonzero(s * s > floor2))
+    W = X[order].T
+    W[:, :live] /= s[:live]
+    if live < r:
+        W[:, live:] = np.linalg.qr(W[:, :live], mode="complete")[0][:, live:]
+    long = _apply_q(h, tau, W[:, :k])
     if transposed:
-        return right, s, left
-    return left, s, right
+        return long, s, short
+    return short, s, long
 
 
 def svd_full(A):
     """Full SVD with r = min(d, m) singular triples."""
-    return SvdResult(*_jacobi_svd(as_matrix(A)))
+    A = as_matrix(A)
+    return SvdResult(*_jacobi_svd(A, min(A.shape)))
 
 
 def svd_truncated(A, k):
@@ -120,14 +151,14 @@ def svd_truncated(A, k):
     t = min(A.shape)
     if not (1 <= k <= t):
         raise BadRankError(f"k must satisfy 1 <= k <= {t}, got {k}")
-    U, s, V = _jacobi_svd(A)
-    return SvdResult(np.ascontiguousarray(U[:, :k]), s[:k].copy(), np.ascontiguousarray(V[:, :k]))
+    U, s, V = _jacobi_svd(A, k)
+    return SvdResult(U, s[:k].copy(), V)
 
 
 def singular_values(A):
     """All singular values, nonincreasing."""
     A = as_matrix(A)
-    return _jacobi_svd(A)[1]
+    return _jacobi_svd(A, 0)[1]
 
 
 def eigh_sym(S, sym_tol=1e-10):
@@ -146,7 +177,7 @@ def eigh_sym(S, sym_tol=1e-10):
     if np.abs(S - S.T).max() > sym_tol * scale:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     S = 0.5 * (S + S.T)
-    U, s, V = _jacobi_svd(S)
+    U, s, V = _jacobi_svd(S, n)
     signs = np.sign(np.einsum("ij,ij->j", U, V))
     signs[signs == 0.0] = 1.0
     return s * signs, V

@@ -324,6 +324,39 @@ class TestUnmix:
         assert r.returncode == 3
         assert "height/width" in r.stderr
 
+    @pytest.mark.parametrize("sidecar, flags", [
+        pytest.param({"height": 5, "width": 8}, (), id="wrong-pixel-count"),
+        pytest.param({}, ("--rasters",), id="rasters-without-shape"),
+        pytest.param([6, 8], (), id="not-an-object"),
+    ])
+    def test_bad_sidecar_exits_3_before_writing(self, cube, tmp_path, sidecar, flags):
+        path, lib, inst = cube
+        write_json(path + ".json", sidecar)
+        out = tmp_path / "o"
+        out.mkdir()
+        r = run_cli("unmix", path, "-k", "3", *flags, "--out", str(out))
+        assert r.returncode == 3
+        assert "Traceback" not in r.stderr
+        assert os.listdir(out) == []
+
+    def test_missing_meta_exits_3_before_writing(self, cube, tmp_path):
+        path, lib, inst = cube
+        out = tmp_path / "o"
+        out.mkdir()
+        r = run_cli("unmix", path, "-k", "3", "--meta", str(tmp_path / "nope.json"),
+                    "--out", str(out))
+        assert r.returncode == 3
+        assert "nope.json" in r.stderr and "Traceback" not in r.stderr
+        assert os.listdir(out) == []
+
+    def test_default_sidecar_is_optional(self, cube, tmp_path):
+        path, lib, inst = cube
+        os.remove(path + ".json")
+        out = tmp_path / "o"
+        r = run_cli("unmix", path, "-k", "3", "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        assert not any(n.endswith(".pgm") for n in os.listdir(out))
+
     def test_drop_bands(self, cube, tmp_path):
         path, lib, inst = cube
         r = run_cli("unmix", path, "-k", "3", "--drop-bands", "1-2,12",

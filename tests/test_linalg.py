@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from sepnmf.errors import BadRankError, NonFiniteError, NotPsdError, NotSymmetricError
+from sepnmf import kernels, linalg
+from sepnmf.errors import (
+    BadRankError,
+    NoConvergenceError,
+    NonFiniteError,
+    NotPsdError,
+    NotSymmetricError,
+)
 from sepnmf.linalg import (
     eigh_sym,
     orthonormalize,
@@ -193,3 +200,80 @@ class TestEighSym:
         ref = np.sort(np.linalg.eigvalsh(S))
         assert np.allclose(np.sort(lam), ref, atol=1e-10)
         assert np.abs(S @ V - V * lam).max() < 1e-9
+
+
+# (matrix, rank): wide and tall exercise the QR reduction on either side,
+# odd r the round-robin bye, and the graded rows (scaled 1 .. 1e-12) the
+# relative accuracy of the tiny singular values
+_SHAPES = {
+    "wide": (_rand(31, 9, 14), 9),
+    "tall": (_rand(32, 14, 9), 9),
+    "square": (_rand(33, 8, 8), 8),
+    "odd-r": (_rand(34, 7, 12), 7),
+    "rank-deficient": (_rand(35, 9, 3) @ _rand(36, 3, 14), 3),
+    "graded": (np.logspace(0, -12, 9)[:, None] * _rand(37, 9, 14), 9),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHAPES))
+def test_svd_matches_lapack(name):
+    A, rank = _SHAPES[name]
+    ref = np.linalg.svd(A, compute_uv=False)
+    t = min(A.shape)
+    r = svd_full(A)
+    for s in (r.S, singular_values(A)):
+        assert (np.abs(s[:rank] - ref[:rank]) <= 1e-12 * ref[:rank]).all()
+        # numerically zero singular values carry no relative accuracy
+        assert np.abs(s[rank:]).max(initial=0.0) <= 1e-12 * ref[0]
+    assert np.abs(r.U.T @ r.U - np.eye(t)).max() <= 1e-12
+    assert np.abs(r.V.T @ r.V - np.eye(t)).max() <= 1e-12
+    assert np.abs(r.U @ (r.S[:, None] * r.V.T) - A).max() <= 1e-12 * ref[0]
+
+
+@pytest.mark.parametrize("name", list(_SHAPES))
+def test_spectral_norm_matches_lapack(name):
+    A, _ = _SHAPES[name]
+    ref = np.linalg.norm(A, 2)
+    assert abs(spectral_norm(A, 1e-12) - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("r", [7, 8])
+def test_jacobi_kernel_orthogonalizes_rows(r):
+    X0 = _rand(40 + r, r, r)
+    X, R = X0.copy(), np.eye(r)
+    sweeps = kernels.svd_jacobi_rows(X, R, 1e-14, 0.0, 60)
+    assert 1 <= sweeps < 60
+    G = X @ X.T
+    n = np.sqrt(np.diag(G))
+    assert np.abs(G - np.diag(np.diag(G))).max() <= 1e-13 * n.max() ** 2
+    assert np.abs(R.T @ X - X0).max() <= 1e-13 * np.abs(X0).max()
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_round_robin_sweep_visits_every_pair_once(r):
+    # perfbench counts pair_visits = sweeps * r(r-1)/2 from this contract
+    pairs = []
+    for I, J in kernels._round_robin(r):
+        assert len(set(I) | set(J)) == 2 * I.size  # a round's pairs are disjoint
+        pairs += zip(I.tolist(), J.tolist())
+    assert sorted(pairs) == [(i, j) for i in range(r) for j in range(i + 1, r)]
+
+
+def test_jacobi_sweep_cap_raises(monkeypatch):
+    A = _rand(50, 9, 14)
+    sweeps = []
+    kernel = kernels.svd_jacobi_rows
+    monkeypatch.setattr(kernels, "svd_jacobi_rows", lambda *a: sweeps.append(kernel(*a)) or sweeps[-1])
+    svd_full(A)
+    # the last sweep is the clean one: a cap of one fewer leaves rotations
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", sweeps[0])
+    svd_full(A)
+    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", sweeps[0] - 1)
+    with pytest.raises(NoConvergenceError):
+        svd_full(A)
+
+
+def test_power_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "_POWER_MAX_ITERS", 2)
+    with pytest.raises(NoConvergenceError):
+        spectral_norm(_rand(51, 9, 14), 1e-12)

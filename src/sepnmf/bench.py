@@ -15,7 +15,6 @@ does not depend on the worker count.
 """
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -24,10 +23,12 @@ from .io import write_csv_rows, write_json
 from .linalg import spectral_norm
 from .lowrank import APPROX_NAMES, approximate, spa_rank_approx
 from .metrics import recovery_rate
-# perfbench/tracing.py times the grid runs' selector calls as bench.run_selector
-from .select import DEFAULT_BOUNDARY_TOL, DEFAULT_EPS
-from .select import select as run_selector
+from .reports import stage
+from .select import DEFAULT_BOUNDARY_TOL, DEFAULT_EPS, Analysis
 from .synth import generate_instance, rescale_noise, sigma_min
+
+# perfbench/tracing.py times every grid selector call through this name
+run_selector = Analysis.select
 
 DELTA_GRID = [round(0.1 * i, 1) for i in range(21)]  # multipliers of sigma_min(F)
 Q_GRID = [1, 2, 5, 10, 15]
@@ -122,8 +123,9 @@ def _fig2_worker(task):
     rows = []
     for t in deltas:
         inst = rescale_noise(base, t * scale)
+        analysis = Analysis(inst.A, k, eps)
         for method, q in methods:
-            res = run_selector(inst.A, k, method, q, eps, boundary_tol)
+            res = run_selector(analysis, method, q, boundary_tol)
             rows.append(
                 {
                     "delta_mult": t,
@@ -144,9 +146,9 @@ def selector_grid(csv_path, d, m, k, seed, instances, methods, deltas, eps=DEFAU
     """Mean recovery rate of each (delta, method, q) cell over seeded instances.
 
     deltas are multipliers of each instance's sigma_min(F) (unit "sigmin")
-    or absolute noise norms (unit "abs"); eps and boundary_tol go to every
-    select() call. Writes csv_path and the records as JSON beside it;
-    returns (csv_rows, records).
+    or absolute noise norms (unit "abs"). Each noisy instance gets one
+    Analysis (tolerance eps) that every method runs on, with boundary_tol.
+    Writes csv_path and the records as JSON beside it; returns (csv_rows, records).
     """
     tasks = [
         (d, m, k, seed * 100_003 + i, tuple(methods), tuple(deltas), eps, boundary_tol, unit)
@@ -176,7 +178,6 @@ def fig2_suite(
     methods=None,
     deltas=None,
     instances=None,
-    eps=DEFAULT_EPS,
 ):
     cfg = _SCALES[scale]
     return selector_grid(
@@ -186,7 +187,6 @@ def fig2_suite(
         instances or cfg["fig_instances"],
         methods or FIG2_METHODS,
         deltas if deltas is not None else DELTA_GRID,
-        eps,
         jobs=jobs,
     )
 
@@ -259,12 +259,13 @@ def run_suites(names, out_dir, scale="desk", seed=0, jobs=1):
     ok_rows = 0
     failures = []
     lines = [f"bench scale={scale} seed={seed} jobs={jobs}"]
+    timings = {}
     for name in names:
-        t0 = time.perf_counter()
         try:
-            rows, _ = SUITES[name](out_dir, scale=scale, seed=seed, jobs=jobs)
+            with stage(timings, name):
+                rows, _ = SUITES[name](out_dir, scale=scale, seed=seed, jobs=jobs)
             ok_rows += len(rows)
-            lines.append(f"{name}: {len(rows)} rows in {time.perf_counter() - t0:.1f}s")
+            lines.append(f"{name}: {len(rows)} rows in {timings[name]:.1f}s")
         except Exception as exc:  # partial failures carry their error strings
             failures.append((name, str(exc)))
             lines.append(f"{name}: FAILED ({exc})")

@@ -31,7 +31,7 @@ from .lowrank import APPROX_NAMES, approximate, bound_report
 from .metrics import estimate_abundances, recovery_rate, spectral_angle_distance
 from .reports import ExperimentReport, write_report
 from .rng import RNG_NAME
-from .select import DEFAULT_BOUNDARY_TOL, DEFAULT_Q, SELECTOR_NAMES, resolve_q, select
+from .select import DEFAULT_BOUNDARY_TOL, DEFAULT_Q, SELECTOR_NAMES, Analysis, resolve_q, select
 from .synth import generate_instance, robust_noise_bound, sigma_min
 
 
@@ -88,7 +88,7 @@ def build_parser():
     c.add_argument("--boundary-tol", type=float, default=DEFAULT_BOUNDARY_TOL)
     c.add_argument("--truth", help="meta.json with ground-truth indices")
     c.add_argument("--report", help="output report JSON")
-    c.add_argument("--instances", type=int, help="batch mode: instances per grid cell")
+    c.add_argument("--instances", type=_positive_int, help="batch mode: instances per grid cell")
     c.add_argument("-d", type=int, help="batch mode: rows")
     c.add_argument("-m", type=int, help="batch mode: columns")
     c.add_argument("--deltas", type=_float_list, default="0,0.5,1.0,1.5,2.0",
@@ -151,6 +151,14 @@ def main(argv=None):
 def _params_from(args):
     keys = ("d", "m", "k", "q", "delta", "eps", "seed", "oversample", "method", "instances")
     return {k: getattr(args, k, None) for k in keys if getattr(args, k, None) is not None}
+
+
+def _positive_int(text):
+    """An integer >= 1 (an argparse type)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _float_list(text):
@@ -370,7 +378,8 @@ def cmd_unmix(args):
     if args.library:
         names, lib = _read_library(args.library, A.shape[0])
     q = resolve_q(args.method, args.q)
-    res = select(A, args.k, args.method, q, args.eps)
+    analysis = Analysis(A, args.k, args.eps)
+    res = analysis.select(args.method, q)
     order = np.sort(res.indices)
     F_sel = np.ascontiguousarray(A[:, order])
     ab = estimate_abundances(F_sel, A)
@@ -418,7 +427,7 @@ def cmd_unmix(args):
     print("selected (1-based):", " ".join(str(i + 1) for i in order))
 
     if args.expect_match:
-        other_idx = select(A, args.k, args.expect_match, eps=args.eps).indices
+        other_idx = analysis.select(args.expect_match).indices
         if set(order.tolist()) == set(other_idx.tolist()):
             print(f"match: {args.method} and {args.expect_match} select the same set")
             return 0

@@ -56,22 +56,25 @@ class SvdResult:
 def spectral_norm(A, tol=1e-10):
     """Largest singular value by power iteration on A^T A.
 
-    Deterministic: starts from the normalized all-ones vector v and stops
-    when successive Rayleigh quotients differ by less than tol times the
-    current value. The iteration runs on the short side: in w = A v with
-    G = A A^T when A is wide (in v with G = A^T A when tall), so each step
-    costs O(min(d, m)^2) and A is never copied. Raises NoConvergenceError
-    after _POWER_MAX_ITERS steps.
+    Deterministic: starts from the normalized all-ones vector v (or, when
+    A v = 0, from the unit vector that picks A's largest-norm column) and
+    stops when successive Rayleigh quotients differ by less than tol times
+    the current value; only the zero matrix gives 0.0. The iteration runs
+    on the short side: in w = A v with G = A A^T when A is wide (in v with
+    G = A^T A when tall), so each step costs O(min(d, m)^2) and A is never
+    copied. Raises NoConvergenceError after _POWER_MAX_ITERS steps.
     """
     A = as_matrix(A)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     d, m = A.shape
     tall = d > m
+    v = np.full(m, 1.0 / np.sqrt(m))
+    if not (A @ v).any():
+        # rows summing to zero (e.g. centred data) are orthogonal to the all-ones start
+        v = np.eye(1, m, np.argmax(np.einsum("ij,ij->j", A, A)))[0]
     G = A.T @ A if tall else A @ A.T
-    x = np.full(m, 1.0 / np.sqrt(m))
-    if not tall:
-        x = A @ x
+    x = v if tall else A @ v
     lam = 0.0
     for _ in range(_POWER_MAX_ITERS):
         g = G @ x

@@ -77,7 +77,12 @@ def subspace_basis(A, start, q):
     in total), which keeps the iterate representable for large q. The
     column count can shrink if the iterate loses rank.
     """
-    Q = orthonormalize(start)
+    return power_rounds(A, orthonormalize(start), q)
+
+
+def power_rounds(A, Q, q):
+    """q more rounds of subspace_basis's iteration on an orthonormal Q. Q is
+    not re-orthonormalized, so p rounds then q - p more reproduce q rounds."""
     for _ in range(q):
         Z = orthonormalize(A.T @ Q)
         Q = orthonormalize(A @ Z)

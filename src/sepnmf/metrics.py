@@ -1,5 +1,5 @@
-"""Evaluation metrics: recovery rate, spectral angle distance,
-approximation error, and simplex-constrained abundance estimation.
+"""Evaluation metrics: recovery rate, spectral angle distance and
+simplex-constrained abundance estimation.
 
 Abundances solve, per pixel a, min ||F w - a||^2 over the probability
 simplex with an accelerated projected-gradient loop (step 1/sigma_max^2,
@@ -16,7 +16,7 @@ from .errors import (
     SizeMismatchError,
     ZeroVectorError,
 )
-from .linalg import as_matrix, singular_values, spectral_norm
+from .linalg import as_matrix, singular_values
 
 _KKT_TOL = 1e-8
 _MAX_FISTA_ITERS = 50_000
@@ -41,20 +41,6 @@ def spectral_angle_distance(f, fhat):
         raise ZeroVectorError("spectral angle needs two nonzero vectors")
     cosang = np.clip(float(f @ fhat) / (nf * ng), -1.0, 1.0)
     return float(np.arccos(cosang))
-
-
-def approximation_error(A, B):
-    """(absolute, relative) spectral-norm error of B against A."""
-    A = as_matrix(A)
-    B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise ShapeMismatchError(f"shapes differ: {A.shape} vs {B.shape}")
-    base = spectral_norm(A)
-    diff = A - B
-    if not diff.any():
-        return 0.0, 0.0
-    absolute = spectral_norm(diff)
-    return absolute, absolute / base
 
 
 def project_rows_to_simplex(V):

@@ -9,7 +9,6 @@ solution L = M(u)^{-1} / k and the Kiefer-Wolfowitz gap certifies
 log det(L) >= log det(L_opt) - k log(1+eps).
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ class Ellipsoid:
     support: np.ndarray
     max_violation: float
     iterations: int
-    wall_seconds: float = 0.0
 
 
 def _inv_psd(M):
@@ -52,7 +50,6 @@ def solve_mvee(P, eps=DEFAULT_EPS):
     NoConvergence (carrying the last iterate) if the iteration budget is
     exhausted before the certificate holds.
     """
-    t0 = time.perf_counter()
     P = as_matrix(P, "P")
     k, m = P.shape
     if not (0.0 < eps < 0.5):
@@ -64,7 +61,7 @@ def solve_mvee(P, eps=DEFAULT_EPS):
 
     pts = np.ascontiguousarray(P.T)  # one point per row
     if k == 1:
-        return _solve_1d(pts[:, 0], t0)
+        return _solve_1d(pts[:, 0])
 
     norms = np.einsum("ij,ij->i", pts, pts)
     order = np.argsort(-norms, kind="stable")
@@ -97,7 +94,7 @@ def solve_mvee(P, eps=DEFAULT_EPS):
                 break
         u_full[:] = 0.0
         u_full[ws] = u
-        ell = _finalize(pts, u_full, k, total_iters, t0)
+        ell = _finalize(pts, u_full, k, total_iters)
         if not converged:
             raise NoConvergenceError(
                 f"ellipsoid ascent hit {MAX_INNER_ITERS} iterations "
@@ -116,7 +113,7 @@ def solve_mvee(P, eps=DEFAULT_EPS):
         ws = np.flatnonzero(in_ws)
         u_full[ws] = np.maximum(u_full[ws], 1e-12)
 
-    ell = _finalize(pts, u_full, k, total_iters, t0)
+    ell = _finalize(pts, u_full, k, total_iters)
     raise NoConvergenceError(
         f"cutting-plane loop exceeded {MAX_OUTER_ROUNDS} rounds "
         f"(violation {ell.max_violation:.3e})",
@@ -128,7 +125,7 @@ def _violations(pts, L):
     return np.einsum("ij,jl,il->i", pts, L, pts) - 1.0
 
 
-def _finalize(pts, u_full, k, iters, t0):
+def _finalize(pts, u_full, k, iters):
     M = (pts * u_full[:, None]).T @ pts
     L = _inv_psd(M) / k
     L = 0.5 * (L + L.T)
@@ -140,11 +137,10 @@ def _finalize(pts, u_full, k, iters, t0):
         support=support,
         max_violation=viol,
         iterations=iters,
-        wall_seconds=time.perf_counter() - t0,
     )
 
 
-def _solve_1d(xs, t0):
+def _solve_1d(xs):
     j = int(np.argmax(np.abs(xs)))
     top = xs[j] * xs[j]
     if top <= 0.0:
@@ -159,7 +155,6 @@ def _solve_1d(xs, t0):
         support=np.array([j]),
         max_violation=viol,
         iterations=0,
-        wall_seconds=time.perf_counter() - t0,
     )
 
 

@@ -1,7 +1,7 @@
 """Experiment reports: per-run records plus recomputable aggregates.
 
-Aggregates (mean/median/min/max per metric) are recomputed and checked
-whenever a report is loaded, so a report file cannot silently disagree
+Aggregates (mean/median/min/max per metric) are recomputed from the
+records whenever a report is written, so a report file cannot disagree
 with its own records. Every record carries the seed that reproduces it.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .io import read_json, write_json
+from .io import write_json
 from .rng import RNG_NAME
 
 _AGG_KEYS = ("recovery_rate", "abs_error", "rel_error")
@@ -46,28 +46,9 @@ def compute_aggregates(records):
     return out
 
 
-def finalize_report(report):
-    report.aggregates = compute_aggregates(report.records)
-    return report
-
-
 def write_report(path, report):
-    finalize_report(report)
+    report.aggregates = compute_aggregates(report.records)
     write_json(path, asdict(report))
-
-
-def load_report(path):
-    """Load a report and verify its aggregates against its records."""
-    data = read_json(path)
-    expected = compute_aggregates(data.get("records", []))
-    got = data.get("aggregates", {})
-    for key, stats in expected.items():
-        for stat, value in stats.items():
-            if abs(got.get(key, {}).get(stat, float("nan")) - value) > 1e-12 * max(
-                1.0, abs(value)
-            ):
-                raise ValueError(f"report {path}: aggregate {key}.{stat} does not match records")
-    return data
 
 
 @contextmanager

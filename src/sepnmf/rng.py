@@ -30,10 +30,6 @@ class SplitMix64:
         self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
-    @property
-    def counter(self) -> int:
-        return self._counter
-
     def next_u64(self, n: int) -> np.ndarray:
         """Next n raw 64-bit outputs; advances the counter by n."""
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)

@@ -35,13 +35,3 @@ def spa_select(A, k):
         )
     return idx
 
-
-def residual_update(sq_norms, dots):
-    """Downdated squared norms: sq_norms - dots^2, clamped at zero.
-
-    dots[i] must be the inner product of residual column i with the unit
-    pivot direction.
-    """
-    sq_norms = np.asarray(sq_norms, dtype=np.float64)
-    dots = np.asarray(dots, dtype=np.float64)
-    return np.maximum(sq_norms - dots * dots, 0.0)

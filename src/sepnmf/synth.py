@@ -8,7 +8,7 @@ The positions the permutation assigns to the identity block are the
 ground-truth column indices.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,17 +104,7 @@ def rescale_noise(inst, delta):
         raise BadShapeError(f"delta must be >= 0, got {delta}")
     scale = delta / inst.delta
     N = inst.N * scale
-    return SyntheticInstance(
-        A=(inst.A - inst.N) + N,
-        F=inst.F,
-        H=inst.H,
-        permutation=inst.permutation,
-        N=N,
-        delta=float(delta),
-        true_indices=inst.true_indices,
-        seed=inst.seed,
-        dirichlet_alpha=inst.dirichlet_alpha,
-    )
+    return replace(inst, A=(inst.A - inst.N) + N, N=N, delta=float(delta))
 
 
 def robust_noise_bound(F):

@@ -158,6 +158,8 @@ class TestSelect:
         ("--methods", "bogus"),
         ("--methods", "spa,mpspa:x"),
         ("--deltas", "0,a"),
+        ("--instances", "0"),
+        ("--instances", "-1"),
     ])
     def test_bad_batch_spec_exits_2(self, tmp_path, flags):
         out = tmp_path / "batch.csv"

@@ -13,7 +13,7 @@ from sepnmf.io import (
     write_matrix,
     write_pgm,
 )
-from sepnmf.reports import ExperimentReport, load_report, strip_timing, write_report
+from sepnmf.reports import strip_timing
 from sepnmf.rng import SplitMix64
 
 
@@ -104,27 +104,6 @@ def test_json_round_trip_deterministic(tmp_path):
     write_json(p2, obj)
     assert open(p1, "rb").read() == open(p2, "rb").read()
     assert read_json(p1) == obj
-
-
-def test_report_aggregates_checked_on_load(tmp_path):
-    rep = ExperimentReport(
-        method="spa",
-        parameters={"k": 3},
-        records=[
-            {"seed": 1, "abs_error": 1.0, "rel_error": 0.1},
-            {"seed": 2, "abs_error": 3.0, "rel_error": 0.3},
-        ],
-    )
-    path = str(tmp_path / "r.json")
-    write_report(path, rep)
-    data = load_report(path)
-    assert data["aggregates"]["abs_error"]["mean"] == 2.0
-    assert data["records"][0]["seed"] == 1
-    # corrupt an aggregate: the loader must refuse it
-    data["aggregates"]["abs_error"]["mean"] = 99.0
-    write_json(path, data)
-    with pytest.raises(ValueError):
-        load_report(path)
 
 
 def test_strip_timing():

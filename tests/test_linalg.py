@@ -46,6 +46,17 @@ class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 4))) == 0.0
 
+    @pytest.mark.parametrize("rows", [
+        [[1.0, -1.0]],
+        [[1.0, -1.0], [2.0, -2.0]],
+        [[1.0, -1.0], [2.0, -2.0], [0.5, -0.5]],
+        [[3.0, -1.0, -2.0], [0.0, 4.0, -4.0]],
+    ])
+    def test_rows_summing_to_zero(self, rows):
+        # A 1 = 0: the all-ones start vector lies in the null space of A
+        A = np.array(rows)
+        assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-9)
+
 
 class TestSvd:
     def test_diag_truncation(self):

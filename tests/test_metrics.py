@@ -4,13 +4,10 @@ from oracles import simplex_lsq_oracle
 
 from sepnmf.errors import (
     RankDeficientBasisError,
-    ShapeMismatchError,
     SizeMismatchError,
     ZeroVectorError,
 )
-from sepnmf.linalg import spectral_norm
 from sepnmf.metrics import (
-    approximation_error,
     estimate_abundances,
     project_rows_to_simplex,
     recovery_rate,
@@ -55,28 +52,6 @@ class TestSpectralAngle:
     def test_zero_vector(self):
         with pytest.raises(ZeroVectorError):
             spectral_angle_distance([0.0, 0.0], [1.0, 0.0])
-
-
-class TestApproximationError:
-    def test_identical(self):
-        A = np.eye(3)
-        assert approximation_error(A, A) == (0.0, 0.0)
-
-    def test_diagonal(self):
-        a, r = approximation_error(np.diag([2.0, 1.0]), np.diag([2.0, 0.0]))
-        assert a == pytest.approx(1.0, abs=1e-9)
-        assert r == pytest.approx(0.5, abs=1e-9)
-
-    def test_matches_svd_oracle(self):
-        r = SplitMix64(12)
-        A, B = r.normal_matrix(9, 14), r.normal_matrix(9, 14)
-        a, _ = approximation_error(A, B)
-        want = float(np.linalg.svd(A - B, compute_uv=False)[0])
-        assert a == pytest.approx(want, abs=1e-8)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            approximation_error(np.eye(2), np.eye(3))
 
 
 class TestSimplexProjection:

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from sepnmf.errors import BadRankError, RankDeficientError
+from sepnmf import bench
+from sepnmf import select as select_module
+from sepnmf.errors import BadRankError, RankDeficientError, SepnmfError
 from sepnmf.linalg import spectral_norm, svd_truncated
 from sepnmf.metrics import recovery_rate
 from sepnmf.mvee import solve_mvee
 from sepnmf.rng import SplitMix64
 from sepnmf.select import (
+    DEFAULT_BOUNDARY_TOL,
+    DEFAULT_EPS,
     DEFAULT_Q,
     SELECTOR_NAMES,
+    SELECTORS,
+    Analysis,
     erspa_select,
     merspa_select,
     mpspa_select,
@@ -206,3 +212,95 @@ def test_select_q_default_and_unknown_method():
     assert select(inst.A, 3, "pspa", q=4).q is None
     with pytest.raises(ValueError):
         select(inst.A, 3, "bogus")
+
+
+# every method, the subspace ones at several exponents, so the shared
+# subspace basis is both continued (q = 1 -> 2 -> 15) and restarted
+SHARED_RUNS = [
+    (method, q)
+    for method in SELECTOR_NAMES
+    for q in ((0, 1, 2, 15) if SELECTORS[method][0] == "subspace" else (None,))
+]
+
+
+def _assert_same_result(got, want):
+    assert got.method == want.method
+    assert got.indices.dtype == want.indices.dtype
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.q == want.q
+    assert got.notes == want.notes
+    if want.preconditioner is None:
+        assert got.preconditioner is None
+    else:
+        assert got.preconditioner.tobytes() == want.preconditioner.tobytes()
+
+
+@pytest.mark.parametrize("runs", [SHARED_RUNS, SHARED_RUNS[::-1]], ids=["forward", "reversed"])
+def test_shared_analysis_matches_fresh_select(runs):
+    inst = generate_instance(12, 90, 5, 0.6, seed=8)
+    analysis = Analysis(inst.A, 5)
+    for method, q in runs:
+        _assert_same_result(analysis.select(method, q), select(inst.A, 5, method, q))
+    # a boundary tolerance that forces the fallback, after the ellipsoids are shared
+    for method in ("erspa", "merspa"):
+        got = analysis.select(method, boundary_tol=1e-15)
+        _assert_same_result(got, select(inst.A, 5, method, boundary_tol=1e-15))
+
+
+def test_shared_results_do_not_alias_the_analysis():
+    # spa's indices are the shared first pass, pspa's preconditioner erspa's C
+    inst = generate_instance(12, 90, 5, 0.6, seed=8)
+    analysis = Analysis(inst.A, 5)
+    analysis.select("spa").indices[:] = 0
+    analysis.select("pspa").preconditioner[:] = 0.0
+    _assert_same_result(analysis.select("mpspa"), select(inst.A, 5, "mpspa"))
+    _assert_same_result(analysis.select("erspa"), select(inst.A, 5, "erspa"))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except SepnmfError as exc:
+        return type(exc), str(exc)
+
+
+def test_failed_method_leaves_other_methods_unchanged():
+    # rank 3 at k = 4: prewhiten fails after the SVD it shares is computed
+    inst = generate_instance(10, 60, 3, 0.0, seed=5)
+    analysis = Analysis(inst.A, 4)
+    with pytest.raises(BadRankError):
+        analysis.select("prewhiten")
+    for method, q in SHARED_RUNS:
+        got = _outcome(lambda: analysis.select(method, q))
+        want = _outcome(lambda: select(inst.A, 4, method, q))
+        if isinstance(want, tuple):
+            assert got == want, method
+        else:
+            _assert_same_result(got, want)
+
+
+def test_grid_instance_runs_each_shared_stage_once(monkeypatch):
+    # the eight methods of perfbench's select-grid workload on one instance
+    methods = (("spa", None), ("pspa", None), ("mpspa", 1), ("mpspa", 15),
+               ("erspa", None), ("merspa", 15), ("prewhiten", None), ("spaspa", None))
+    d, m, k = 20, 150, 4
+    calls = {"svd_truncated": 0, "solve_mvee": 0, "seed": 0}
+    names = ("svd_truncated", "solve_mvee", "spa_select")
+    wrapped = {name: getattr(select_module, name) for name in names}
+
+    def counted(name):
+        def wrapper(X, *args):
+            if name != "spa_select":
+                calls[name] += 1
+            elif X.shape == (d, m):
+                # picks run on k-row matrices; a d x m argument is the first pass on A
+                calls["seed"] += 1
+            return wrapped[name](X, *args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(select_module, name, counted(name))
+    task = (d, m, k, 3, methods, (0.5,), DEFAULT_EPS, DEFAULT_BOUNDARY_TOL, "sigmin")
+    rows = bench._fig2_worker(task)
+    assert len(rows) == len(methods)
+    assert calls == {"svd_truncated": 1, "solve_mvee": 3, "seed": 1}

@@ -8,7 +8,7 @@ from sepnmf.errors import BadRankError, DegenerateInputError
 from sepnmf.linalg import singular_values
 from sepnmf.metrics import recovery_rate
 from sepnmf.rng import SplitMix64
-from sepnmf.spa import residual_update, spa_select
+from sepnmf.spa import spa_select
 from sepnmf.synth import generate_instance, robust_noise_bound
 
 
@@ -52,28 +52,6 @@ class TestSelection:
             t = S[:, j]
             S = S - np.outer(t, t) @ S / float(t @ t)
         assert all(chosen[i + 1] <= chosen[i] + 1e-10 for i in range(len(chosen) - 1))
-
-
-class TestResidualUpdate:
-    def test_plain_instance(self):
-        # ||(3,4)||^2 - ((3,4).(1,0))^2 = 25 - 9
-        assert residual_update([25.0], [3.0]).tolist() == [16.0]
-
-    def test_parallel_full_projection(self):
-        assert residual_update([4.0], [2.0]).tolist() == [0.0]
-
-    def test_matches_materialized_projector(self):
-        r = SplitMix64(5)
-        for _ in range(20):
-            a = r.normal(5)
-            b = r.normal(5)
-            b /= np.linalg.norm(b)
-            got = residual_update([float(a @ a)], [float(a @ b)])[0]
-            want = float(np.sum(((np.eye(5) - np.outer(b, b)) @ a) ** 2))
-            assert got == pytest.approx(want, abs=1e-10)
-
-    def test_clamps_negative_roundoff(self):
-        assert residual_update([1.0], [1.0 + 1e-9])[0] == 0.0
 
 
 class TestRobustness:

@@ -55,6 +55,7 @@ _TAB2_SHAPES = {
     "desk": [(50, 3000, 10), (50, 5000, 10), (100, 1000, 10), (100, 20000, 10)],
     "tiny": [(20, 400, 5), (30, 300, 5)],
 }
+_TAB2_DELTA_MULT = 1.0  # tab2's noise, in multiples of sigma_min(F)
 
 
 def _run_tasks(tasks, worker, jobs):
@@ -192,9 +193,9 @@ def fig2_suite(
 
 
 def _tab2_worker(task):
-    d, m, k, q, seed, delta_mult = task
+    d, m, k, q, seed = task
     base = generate_instance(d, m, k, 1.0, seed)
-    inst = rescale_noise(base, delta_mult * sigma_min(base.F))
+    inst = rescale_noise(base, _TAB2_DELTA_MULT * sigma_min(base.F))
     norm_a = spectral_norm(inst.A, 1e-9)
     rows = []
     for method in APPROX_NAMES:
@@ -216,10 +217,10 @@ def _tab2_worker(task):
     return rows
 
 
-def tab2_suite(out_dir, scale="desk", seed=0, jobs=1, reps=3, delta_mult=1.0, q=10, shapes=None):
+def tab2_suite(out_dir, scale="desk", seed=0, jobs=1, reps=3, q=10, shapes=None):
     shapes = shapes or _TAB2_SHAPES[scale]
     tasks = [
-        (d, m, k, q, seed * 100_003 + rep, delta_mult)
+        (d, m, k, q, seed * 100_003 + rep)
         for d, m, k in shapes
         for rep in range(reps)
     ]

@@ -2,9 +2,10 @@
 
 Subcommands: synth (instance generation), approx (rank-k approximation),
 select (endmember/column selection, single or batch), unmix
-(hyperspectral pipeline), bench (experiment suites). Exit codes: 0 ok,
-2 usage, 3 computation error, 4 benchmark produced no rows. Indices are
-1-based in all user-facing output and 0-based internally.
+(hyperspectral pipeline), bench (experiment suites); each takes only the
+flags it reads, after its name. Exit codes: 0 ok, 2 usage (any other flag,
+or a value out of range), 3 computation error, 4 benchmark produced no
+rows. Indices are 1-based in all user-facing output and 0-based internally.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import numpy as np
 from . import __version__, bench
 from .errors import BadShapeError, MissingShapeError, SepnmfError
 from .io import (
+    FORMATS,
     open_input,
     read_json,
     read_matrix,
@@ -35,31 +37,14 @@ from .select import DEFAULT_BOUNDARY_TOL, DEFAULT_Q, SELECTOR_NAMES, Analysis, r
 from .synth import generate_instance, robust_noise_bound, sigma_min
 
 
-def _global_flags(parser, suppress):
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--seed", type=int, help="base seed (default 0)",
-                        **({"default": default} if suppress else {"default": 0}))
-    parser.add_argument("--jobs", type=int, help="parallel workers for batch suites",
-                        **({"default": default} if suppress else {"default": 1}))
-    parser.add_argument("--format", choices=("mtx", "bin", "csv"), help="matrix file format",
-                        default=argparse.SUPPRESS if suppress else None)
-    parser.add_argument("--eps", type=float, help="ellipsoid tolerance",
-                        **({"default": default} if suppress else {"default": 1e-6}))
-    parser.add_argument("--tol", type=float, help="spectral-norm tolerance",
-                        **({"default": default} if suppress else {"default": 1e-10}))
-
-
 def build_parser():
     p = argparse.ArgumentParser(prog="sepnmf", description=__doc__)
     p.add_argument("--version", action="version", version=f"sepnmf {__version__}")
-    _global_flags(p, suppress=False)
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering the top-level defaults when absent
-    common = argparse.ArgumentParser(add_help=False)
-    _global_flags(common, suppress=True)
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("synth", help="generate a noisy separable instance", parents=[common])
+    s = sub.add_parser("synth", help="generate a noisy separable instance")
+    s.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    s.add_argument("--format", choices=FORMATS, help="matrix file format")
     s.add_argument("-d", type=int, required=True)
     s.add_argument("-m", type=int, required=True)
     s.add_argument("-k", type=int, required=True)
@@ -69,7 +54,10 @@ def build_parser():
     s.add_argument("-o", "--out", required=True, help="output directory")
     s.set_defaults(func=cmd_synth)
 
-    a = sub.add_parser("approx", help="rank-k approximation of a matrix file", parents=[common])
+    a = sub.add_parser("approx", help="rank-k approximation of a matrix file")
+    a.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    a.add_argument("--format", choices=FORMATS, help="matrix file format")
+    a.add_argument("--tol", type=_positive_float, default=1e-10, help="spectral-norm tolerance")
     a.add_argument("matrix")
     a.add_argument("-k", type=int, required=True)
     a.add_argument("--q", type=int, default=10)
@@ -80,12 +68,16 @@ def build_parser():
     a.add_argument("--report", required=True, help="output report JSON")
     a.set_defaults(func=cmd_approx)
 
-    c = sub.add_parser("select", help="column selection, single matrix or seeded batch", parents=[common])
+    c = sub.add_parser("select", help="column selection, single matrix or seeded batch")
+    c.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    c.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for batch suites")
+    c.add_argument("--format", choices=FORMATS, help="matrix file format")
+    c.add_argument("--eps", type=_mvee_eps, default=1e-6, help="ellipsoid tolerance")
     c.add_argument("matrix", nargs="?", help="matrix file (omit in batch mode)")
     c.add_argument("-k", type=int, required=True)
     c.add_argument("--method", choices=SELECTOR_NAMES, default="spa")
     c.add_argument("--q", type=int, help=f"power exponent for mpspa/merspa (default {DEFAULT_Q})")
-    c.add_argument("--boundary-tol", type=float, default=DEFAULT_BOUNDARY_TOL)
+    c.add_argument("--boundary-tol", type=_nonnegative_float, default=DEFAULT_BOUNDARY_TOL)
     c.add_argument("--truth", help="meta.json with ground-truth indices")
     c.add_argument("--report", help="output report JSON")
     c.add_argument("--instances", type=_positive_int, help="batch mode: instances per grid cell")
@@ -104,7 +96,9 @@ def build_parser():
     c.add_argument("--out", help="batch mode: output CSV")
     c.set_defaults(func=cmd_select)
 
-    u = sub.add_parser("unmix", help="endmember extraction + abundance maps", parents=[common])
+    u = sub.add_parser("unmix", help="endmember extraction + abundance maps")
+    u.add_argument("--format", choices=FORMATS, help="matrix file format")
+    u.add_argument("--eps", type=_mvee_eps, default=1e-6, help="ellipsoid tolerance")
     u.add_argument("matrix", help="bands x pixels matrix file")
     u.add_argument("-k", type=int, required=True)
     u.add_argument("--method", choices=SELECTOR_NAMES, default="pspa")
@@ -119,7 +113,9 @@ def build_parser():
     u.add_argument("--out", required=True, help="output directory")
     u.set_defaults(func=cmd_unmix)
 
-    b = sub.add_parser("bench", help="experiment suites", parents=[common])
+    b = sub.add_parser("bench", help="experiment suites")
+    b.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    b.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for batch suites")
     b.add_argument("suite", choices=("fig1", "fig2", "tab2", "all"))
     b.add_argument("--scale", choices=("desk", "tiny"), default="desk")
     b.add_argument("--out", required=True, help="output directory")
@@ -149,24 +145,36 @@ def main(argv=None):
 
 
 def _params_from(args):
-    keys = ("d", "m", "k", "q", "delta", "eps", "seed", "oversample", "method", "instances")
+    keys = ("d", "m", "k", "q", "eps", "seed", "oversample", "method", "instances")
     return {k: getattr(args, k, None) for k in keys if getattr(args, k, None) is not None}
 
 
-def _positive_int(text):
-    """An integer >= 1 (an argparse type)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(convert, check, requirement):
+    """An argparse type: convert(text), a usage error stating `requirement` unless check(value)."""
+    def parse(text):
+        value = convert(text)
+        if not check(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's message: "invalid float value: 'x'"
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "must be >= 1")
+_positive_float = _checked(float, lambda v: v > 0.0, "must be > 0")
+_nonnegative_float = _checked(float, lambda v: v >= 0.0, "must be >= 0")
+_mvee_eps = _checked(float, lambda v: 0.0 < v < 0.5, "must lie in (0, 0.5)")  # solve_mvee's domain
 
 
 def _float_list(text):
-    """Comma list of numbers (an argparse type)."""
+    """Nonempty comma list of numbers (an argparse type)."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
+    return values
 
 
 def _method_list(text):

@@ -32,6 +32,8 @@ from .errors import (
 _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 60
 _POWER_MAX_ITERS = 10000
+_SYM_TOL = 1e-10  # relative asymmetry eigh_sym accepts
+_MGS_REL_TOL = 1e-12  # relative pivot below which orthonormalize drops a direction
 
 
 def as_matrix(A, name="A"):
@@ -164,7 +166,7 @@ def singular_values(A):
     return _jacobi_svd(A, 0)[1]
 
 
-def eigh_sym(S, sym_tol=1e-10):
+def eigh_sym(S):
     """Eigendecomposition of a symmetric matrix via the Jacobi SVD.
 
     Signs are recovered from u_i . v_i, which is reliable whenever no two
@@ -177,7 +179,7 @@ def eigh_sym(S, sym_tol=1e-10):
     if S.shape[1] != n:
         raise NotSymmetricError(f"matrix is {S.shape}, not square")
     scale = max(1.0, float(np.abs(S).max()))
-    if np.abs(S - S.T).max() > sym_tol * scale:
+    if np.abs(S - S.T).max() > _SYM_TOL * scale:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     S = 0.5 * (S + S.T)
     U, s, V = _jacobi_svd(S, n)
@@ -186,12 +188,12 @@ def eigh_sym(S, sym_tol=1e-10):
     return s * signs, V
 
 
-def orthonormalize(Y, rel_tol=1e-12):
+def orthonormalize(Y):
     """Orthonormal basis Q of range(Y), one column per independent direction.
 
     Pivoted Gram-Schmidt with reorthogonalization; a direction is dropped
-    when its pivot (residual norm) falls below rel_tol times the first
-    pivot. Q has rank(Y) columns and QQ^T Y = Y up to roundoff.
+    when its pivot (residual norm) falls below _MGS_REL_TOL = 1e-12 times
+    the first pivot. Q has rank(Y) columns and QQ^T Y = Y up to roundoff.
     """
     Y = as_matrix(Y, "Y")
     d, k = Y.shape
@@ -199,14 +201,14 @@ def orthonormalize(Y, rel_tol=1e-12):
         raise BadRankError(f"Y must be tall (d >= k), got {Y.shape}")
     W = Y.T.copy()  # the kernel orthogonalizes rows in place; never alias Y
     order = np.zeros(k, np.int64)
-    rank = kernels.mgs_rows(W, rel_tol, order)
+    rank = kernels.mgs_rows(W, _MGS_REL_TOL, order)
     if rank == 0:
         raise BadRankError("Y has no nonzero column")
     keep = np.sort(order[:rank])
     return np.ascontiguousarray(W[keep].T)
 
 
-def psd_sqrt(L, sym_tol=1e-10):
+def psd_sqrt(L):
     """Unique symmetric PSD square root C with C @ C = L.
 
     Eigenvalues in [-1e-10 * ||L||_2, 0) are clamped to zero; anything more
@@ -214,7 +216,7 @@ def psd_sqrt(L, sym_tol=1e-10):
     case of paired +/- eigenvalues slipping past the sign recovery.
     """
     L = as_matrix(L, "L")
-    lam, V = eigh_sym(L, sym_tol=sym_tol)
+    lam, V = eigh_sym(L)
     norm2 = float(lam[0]) if lam.size else 0.0
     floor = -1e-10 * max(norm2, 0.0)
     if lam.min(initial=0.0) < floor:

@@ -144,14 +144,14 @@ def approximate(A, k, method, q, oversample=0, seed=0, err_tol=_ERR_TOL):
     )
 
 
-def spa_rank_approx(A, k, q, err_tol=_ERR_TOL):
+def spa_rank_approx(A, k, q):
     """Rank-k approximation seeded by the k successively projected columns."""
-    return approximate(A, k, "spa", q, err_tol=err_tol)
+    return approximate(A, k, "spa", q)
 
 
-def rand_subspace_approx(A, k, q, oversample=0, seed=0, err_tol=_ERR_TOL):
+def rand_subspace_approx(A, k, q, oversample=0, seed=0):
     """Gaussian-seeded randomized subspace iteration, reproducible by seed."""
-    return approximate(A, k, "rand", q, oversample, seed, err_tol)
+    return approximate(A, k, "rand", q, oversample, seed)
 
 
 def bound_report(A, approx):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BadRankError, RankDeficientError
 from .linalg import as_matrix, psd_sqrt, svd_full, svd_truncated
-from .lowrank import BoundReport, bound_report, power_rounds, spa_rank_approx, subspace_basis
+from .lowrank import power_rounds, subspace_basis
 from .mvee import DEFAULT_EPS, ellipsoid_support, solve_mvee
 from .reports import stage
 from .spa import spa_select
@@ -62,7 +62,6 @@ class SelectorResult:
     method: str
     q: int | None = None
     preconditioner: np.ndarray | None = None
-    diagnostics: BoundReport | None = None
     timing: dict = field(default_factory=dict)
     notes: tuple = ()
 
@@ -119,13 +118,11 @@ class Analysis:
             self._chain[q] = power_rounds(self.A, self._chain[done], q - done)
         return self._chain[q]
 
-    def select(self, method, q=None, boundary_tol=DEFAULT_BOUNDARY_TOL, diagnostics=False):
+    def select(self, method, q=None, boundary_tol=DEFAULT_BOUNDARY_TOL):
         """Run the selector named `method` (a key of SELECTORS) on A.
 
         q is the power exponent of the subspace methods (DEFAULT_Q when
-        None); the other methods ignore it. With diagnostics=True the
-        subspace methods form the full rank-k approximation and attach its
-        bound report.
+        None); the other methods ignore it.
 
         k = 1 bypasses the ellipsoid methods' preconditioning (the
         conditioning analysis assumes k >= 2) and falls back to plain
@@ -140,7 +137,7 @@ class Analysis:
         q = resolve_q(method, q) if compress == "subspace" else None
         if q is not None and q < 0:
             raise BadRankError(f"{method}: q must be >= 0, got {q}")
-        timing, notes, report = {}, [], None
+        timing, notes = {}, []
         if k == 1 and whiten == "mvee":
             compress, whiten, pick, q = None, None, "spa", None
             notes.append("k=1: preconditioning bypassed")
@@ -152,8 +149,6 @@ class Analysis:
                 P = self._memo(("P", compress, q), lambda: np.ascontiguousarray(f.S[:, None] * f.V.T))
         elif compress == "subspace":
             with stage(timing, "subspace"):
-                if diagnostics:
-                    report = bound_report(A, spa_rank_approx(A, k, q))
                 Q = self._basis(q)
             if Q.shape[1] < k:
                 raise RankDeficientError(f"{method}: iterated basis has rank {Q.shape[1]} < k={k}")
@@ -197,16 +192,14 @@ class Analysis:
             method=method,
             q=q,
             preconditioner=preconditioner,
-            diagnostics=report,
             timing=timing,
             notes=tuple(notes),
         )
 
 
-def select(A, k, method, q=None, eps=DEFAULT_EPS, boundary_tol=DEFAULT_BOUNDARY_TOL,
-           diagnostics=False):
+def select(A, k, method, q=None, eps=DEFAULT_EPS, boundary_tol=DEFAULT_BOUNDARY_TOL):
     """Run the selector named `method` on A alone: Analysis(A, k, eps).select(...)."""
-    return Analysis(A, k, eps).select(method, q, boundary_tol, diagnostics)
+    return Analysis(A, k, eps).select(method, q, boundary_tol)
 
 
 def pspa_select(A, k, eps=DEFAULT_EPS):
@@ -214,9 +207,9 @@ def pspa_select(A, k, eps=DEFAULT_EPS):
     return select(A, k, "pspa", eps=eps)
 
 
-def mpspa_select(A, k, q, eps=DEFAULT_EPS, diagnostics=False):
+def mpspa_select(A, k, q, eps=DEFAULT_EPS):
     """pspa with the truncated SVD replaced by the subspace-iteration basis."""
-    return select(A, k, "mpspa", q, eps, diagnostics=diagnostics)
+    return select(A, k, "mpspa", q, eps)
 
 
 def erspa_select(A, k, eps=DEFAULT_EPS, boundary_tol=DEFAULT_BOUNDARY_TOL):

@@ -1,6 +1,13 @@
+import importlib.util
+import os
+
 import numpy as np
 
-from sepnmf.bench import fig1_suite, fig2_suite, run_suites, tab2_suite
+from sepnmf.bench import _fig2_worker, fig1_suite, fig2_suite, run_suites, tab2_suite
+from sepnmf.cli import _method_list
+from sepnmf.select import DEFAULT_BOUNDARY_TOL, DEFAULT_EPS
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
 
 
 def test_fig1_rows_and_upper_bound(tmp_path):
@@ -23,6 +30,24 @@ def test_fig2_rows_structure(tmp_path):
     assert all(0.0 <= r[3] <= 1.0 for r in rows)
     # zero-noise cells recover exactly
     assert all(r[3] == 1.0 for r in rows if r[0] == 0.0)
+
+
+def test_select_grid_zero_noise_recovers_exactly():
+    # perfbench's select-grid checks exact recovery at t = 0 on 50 x 2000, k = 10
+    # instances, larger than any other zero-noise selector test: its warm-up
+    # instance and op 0's instances for benchmark seeds 1-12, which the CLI's
+    # batch mode seeds at cli_seed * 100_003
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    grid = workloads.SelectGrid
+    methods = tuple(_method_list(grid.METHODS))
+    for cli_seed in [grid.WARMUP_SEED] + [seed * 1000 for seed in range(1, 13)]:
+        task = (50, 2000, 10, cli_seed * 100_003, methods, (0.0,), DEFAULT_EPS,
+                DEFAULT_BOUNDARY_TOL, "sigmin")
+        rows = _fig2_worker(task)
+        missed = [(row["method"], row["q"]) for row in rows if row["recovery_rate"] != 1.0]
+        assert len(rows) == len(methods) and not missed, (cli_seed, missed)
 
 
 def test_tab2_selection_path_beats_svd_on_wide_shapes(tmp_path):

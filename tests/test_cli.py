@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from sepnmf.cli import build_parser
 from sepnmf.io import read_json, read_matrix, write_json, write_matrix
 from sepnmf.reports import strip_timing
 from sepnmf.synth import generate_instance
@@ -160,6 +161,7 @@ class TestSelect:
         ("--deltas", "0,a"),
         ("--instances", "0"),
         ("--instances", "-1"),
+        ("--deltas", ","),
     ])
     def test_bad_batch_spec_exits_2(self, tmp_path, flags):
         out = tmp_path / "batch.csv"
@@ -403,6 +405,85 @@ class TestBench:
         r2 = run_cli("bench", "fig1", "--scale", "tiny", "--out", b, "--jobs", "2")
         assert r1.returncode == 0 and r2.returncode == 0, r2.stderr
         assert open(os.path.join(a, "fig1.csv")).read() == open(os.path.join(b, "fig1.csv")).read()
+
+
+# the shared flags each subcommand reads; every other (subcommand, flag) pair,
+# and any flag placed before the subcommand, is a usage error
+FLAG_MAP = {
+    "synth": ("--seed", "--format"),
+    "approx": ("--seed", "--format", "--tol"),
+    "select": ("--seed", "--jobs", "--format", "--eps"),
+    "unmix": ("--format", "--eps"),
+    "bench": ("--seed", "--jobs"),
+}
+# flag -> (argument, parsed value, default)
+FLAG_VALUES = {
+    "--seed": ("3", 3, 0),
+    "--jobs": ("2", 2, 1),
+    "--format": ("bin", "bin", None),
+    "--eps": ("1e-3", 1e-3, 1e-6),
+    "--tol": ("1e-9", 1e-9, 1e-10),
+}
+# a complete command line of each subcommand; these tests only parse it
+BASE_ARGV = {
+    "synth": ["synth", "-d", "6", "-m", "12", "-k", "2", "-o", "out"],
+    "approx": ["approx", "A.mtx", "-k", "2", "--report", "r.json"],
+    "select": ["select", "A.mtx", "-k", "2"],
+    "unmix": ["unmix", "A.mtx", "-k", "2", "--out", "out"],
+    "bench": ["bench", "fig1", "--out", "out"],
+}
+
+
+def _usage_exit(argv, capsys):
+    """Exit code and stderr of parsing argv, which must be refused."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+class TestFlagMap:
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in FLAG_MAP for flag in FLAG_VALUES
+        if flag not in FLAG_MAP[command]
+    ])
+    def test_unread_flag_exits_2(self, command, flag, capsys):
+        code, err = _usage_exit(BASE_ARGV[command] + [flag, FLAG_VALUES[flag][0]], capsys)
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("flag", FLAG_VALUES)
+    def test_flag_before_subcommand_exits_2(self, flag, capsys):
+        command = next(c for c, flags in FLAG_MAP.items() if flag in flags)
+        code, _ = _usage_exit([flag, FLAG_VALUES[flag][0]] + BASE_ARGV[command], capsys)
+        assert code == 2
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in FLAG_MAP.items() for flag in flags
+    ])
+    def test_read_flag_parses(self, command, flag):
+        text, value, default = FLAG_VALUES[flag]
+        dest = flag.lstrip("-")
+        assert getattr(build_parser().parse_args(BASE_ARGV[command]), dest) == default
+        assert getattr(build_parser().parse_args(BASE_ARGV[command] + [flag, text]), dest) == value
+
+    @pytest.mark.parametrize("command,flag,text", [
+        ("select", "--eps", "0.7"),
+        ("select", "--eps", "0.5"),
+        ("select", "--eps", "0"),
+        ("unmix", "--eps", "nan"),
+        ("approx", "--tol", "0"),
+        ("approx", "--tol", "-1"),
+        ("select", "--jobs", "0"),
+        ("bench", "--jobs", "0"),
+        ("select", "--boundary-tol", "-1"),
+        ("select", "--boundary-tol", "nan"),
+        ("select", "--deltas", ","),
+        ("synth", "--alpha", ","),
+    ])
+    def test_out_of_range_value_exits_2(self, command, flag, text, capsys):
+        code, err = _usage_exit(BASE_ARGV[command] + [flag, text], capsys)
+        assert code == 2
+        assert f"argument {flag}:" in err
 
 
 class TestDeterminism:

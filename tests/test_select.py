@@ -88,14 +88,6 @@ def test_mpspa_matches_pspa_at_high_q():
     assert set(p.indices.tolist()) == set(m.indices.tolist())
 
 
-def test_mpspa_diagnostics_attached():
-    inst = generate_instance(14, 100, 3, 0.1, seed=23)
-    res = mpspa_select(inst.A, 3, 2, diagnostics=True)
-    assert res.diagnostics is not None
-    assert res.diagnostics.q == 2
-    assert res.diagnostics.rank_b == 3
-
-
 def test_erspa_exact_boundary_count():
     # the symmetrized cross-polytope: exactly k boundary points, no tie-break
     P = np.concatenate([np.eye(3), 0.3 * SplitMix64(4).uniform(30).reshape(3, 10)], axis=1)

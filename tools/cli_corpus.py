@@ -68,6 +68,27 @@ CORPUS = (
     ]
     + [(f"bench-{suite}", ["bench", suite, "--scale", "tiny", "--out", "."])
        for suite in ("fig1", "fig2", "tab2")]
+    + [
+        # usage errors (exit 2): a flag the subcommand does not read, a flag
+        # before the subcommand, and values out of range
+        ("select-unread-tol", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
+                               "--tol", "1e-9"]),
+        ("bench-unread-eps", ["bench", "fig1", "--scale", "tiny", "--eps", "1e-3",
+                              "--out", "."]),
+        ("unmix-unread-seed", ["unmix", os.path.join(CUBE, "A.bin"), "-k", "3", "--seed", "1",
+                               "--out", "out"]),
+        ("seed-before-synth", ["--seed", "3", "synth", "-d", "20", "-m", "200", "-k", "4",
+                               "-o", "."]),
+        ("select-eps-range", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
+                              "--method", "pspa", "--eps", "0.7"]),
+        ("approx-tol-range", ["approx", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
+                              "--tol", "0", "--report", "report.json"]),
+        ("bench-jobs-range", ["bench", "fig1", "--scale", "tiny", "--jobs", "0", "--out", "."]),
+        ("select-boundary-tol-range", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
+                                       "--method", "erspa", "--boundary-tol", "-1"]),
+        ("select-batch-empty-deltas", ["select", "-k", "3", "--instances", "1", "-d", "20",
+                                       "-m", "100", "--deltas", ",", "--out", "grid.csv"]),
+    ]
 )
 
 _DURATION = re.compile(r"\b\d+(\.\d+)?s\b")

@@ -178,7 +178,7 @@ def _float_list(text):
 
 
 def _method_list(text):
-    """Comma list of selector names, each optionally NAME:Q (an argparse type)."""
+    """Nonempty comma list of selector names, each optionally NAME:Q (an argparse type)."""
     methods = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -193,6 +193,8 @@ def _method_list(text):
             methods.append((name, int(qtxt) if qtxt else None))
         except ValueError:
             raise argparse.ArgumentTypeError(f"q in {tok!r} is not an integer") from None
+    if not methods:
+        raise argparse.ArgumentTypeError(f"not a comma list of selector names: {text!r}")
     return methods
 
 

@@ -122,10 +122,21 @@ def mgs_rows(W, rel_tol, order):
     return rank
 
 
+def _residual_sq(A, U):
+    # exact squared column norms of (I - U^T U) A, projected out twice
+    Rm = A.copy()
+    for _rep in range(2):
+        Rm -= U.T @ (U @ Rm)
+    return np.einsum("ij,ij->j", Rm, Rm)
+
+
 def spa_core(A, k, norm_floor, idx):
     # Greedy max-norm column picks with the incremental squared-norm
     # downdate sq[j] -= (u . a_j)^2, u the unit residual of the pivot.
-    # Ties at the argmax go to the smallest column index. Returns
+    # Ties at the argmax go to the smallest column index. The downdate
+    # cancels to noise once residuals fall below ~1e-8 of their column
+    # norms, so a round that finds no residual above the floor recomputes
+    # the norms exactly and retakes its pick before it gives up. Returns
     # (rounds_completed, status); status 1 = degenerate residuals.
     d, m = A.shape
     sq = np.zeros(m)
@@ -134,15 +145,20 @@ def spa_core(A, k, norm_floor, idx):
     U = np.empty((k, d))
     floor2 = norm_floor * norm_floor
     for r in range(k):
-        j = int(np.argmax(sq))
-        if sq[j] <= floor2:
-            return r, 1
-        v = A[:, j].copy()
-        for _rep in range(2):
-            for rr in range(r):
-                v -= np.dot(U[rr], v) * U[rr]
-        nv = math.sqrt(np.dot(v, v))
-        if nv <= norm_floor:
+        for exact in (False, True):
+            if exact:
+                sq = _residual_sq(A, U[:r])
+            j = int(np.argmax(sq))
+            nv = 0.0
+            if sq[j] > floor2:
+                v = A[:, j].copy()
+                for _rep in range(2):
+                    for rr in range(r):
+                        v -= np.dot(U[rr], v) * U[rr]
+                nv = math.sqrt(np.dot(v, v))
+            if nv > norm_floor:
+                break
+        else:
             return r, 1
         v /= nv
         U[r] = v

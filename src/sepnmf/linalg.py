@@ -14,6 +14,10 @@ come out orthonormal to machine precision.
 spectral_norm reduces a wide input through its d x d Gram matrix A A^T
 instead: squaring loses only the small singular values, and sigma_max is
 the only one read from it, while a QR would copy the input.
+
+The symmetric eigenproblems (eigh_sym, behind psd_sqrt and the ellipsoid
+inverse) go to LAPACK: their callers clamp the spectrum at floors
+relative to its norm, so absolute accuracy suffices there.
 """
 
 from dataclasses import dataclass
@@ -167,25 +171,21 @@ def singular_values(A):
 
 
 def eigh_sym(S):
-    """Eigendecomposition of a symmetric matrix via the Jacobi SVD.
+    """Eigendecomposition of a symmetric matrix by numpy.linalg.eigh.
 
-    Signs are recovered from u_i . v_i, which is reliable whenever no two
-    eigenvalues of opposite sign share a magnitude; internal callers only
-    pass (near-)PSD matrices. Returns (eigenvalues, eigenvectors) ordered
-    by decreasing |eigenvalue|.
+    Returns (eigenvalues, eigenvectors) ordered by decreasing |eigenvalue|
+    (ties keep eigh's ascending order), column i of the eigenvectors
+    belonging to eigenvalue i; errors are of order eps * ||S||.
     """
     S = as_matrix(S, "S")
-    n = S.shape[0]
-    if S.shape[1] != n:
+    if S.shape[1] != S.shape[0]:
         raise NotSymmetricError(f"matrix is {S.shape}, not square")
     scale = max(1.0, float(np.abs(S).max()))
     if np.abs(S - S.T).max() > _SYM_TOL * scale:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
-    S = 0.5 * (S + S.T)
-    U, s, V = _jacobi_svd(S, n)
-    signs = np.sign(np.einsum("ij,ij->j", U, V))
-    signs[signs == 0.0] = 1.0
-    return s * signs, V
+    lam, V = np.linalg.eigh(0.5 * (S + S.T))
+    order = np.argsort(-np.abs(lam), kind="stable")
+    return lam[order], V[:, order]
 
 
 def orthonormalize(Y):
@@ -212,8 +212,8 @@ def psd_sqrt(L):
     """Unique symmetric PSD square root C with C @ C = L.
 
     Eigenvalues in [-1e-10 * ||L||_2, 0) are clamped to zero; anything more
-    negative raises NotPsd. A reconstruction check guards the degenerate
-    case of paired +/- eigenvalues slipping past the sign recovery.
+    negative raises NotPsd. A reconstruction check (|C C - L| within
+    1e-8 max(1, ||L||_2) entrywise) guards the eigendecomposition.
     """
     L = as_matrix(L, "L")
     lam, V = eigh_sym(L)

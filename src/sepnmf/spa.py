@@ -4,6 +4,8 @@ Each round picks the column whose residual (after projecting out all
 previous picks) has the largest squared norm, then downdates every
 squared norm by the identity ||(I - uu^T) s||^2 = ||s||^2 - (u^T s)^2,
 giving an O(dmk) loop overall. Ties break to the smallest column index.
+A round whose downdated norms all fall at or below the degeneracy floor
+recomputes them exactly before it declares the input degenerate.
 """
 
 import numpy as np

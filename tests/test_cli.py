@@ -162,6 +162,7 @@ class TestSelect:
         ("--instances", "0"),
         ("--instances", "-1"),
         ("--deltas", ","),
+        ("--methods", ","),
     ])
     def test_bad_batch_spec_exits_2(self, tmp_path, flags):
         out = tmp_path / "batch.csv"

@@ -212,6 +212,24 @@ class TestEighSym:
         assert np.allclose(np.sort(lam), ref, atol=1e-10)
         assert np.abs(S @ V - V * lam).max() < 1e-9
 
+    @pytest.mark.parametrize("name", ["swap", "opposite-signs", "spd"])
+    def test_residual_orthonormality_and_order(self, name):
+        # eigenvalues of opposite sign sharing a magnitude (1 and -1, 3 and -3)
+        # are the case sign recovery from an SVD cannot resolve
+        Q = orthonormalize(_rand(22, 3, 3))
+        G = _rand(23, 10, 10)
+        S = {
+            "swap": np.array([[0.0, 1.0], [1.0, 0.0]]),
+            "opposite-signs": (Q * np.array([-3.0, 2.0, 3.0])) @ Q.T,
+            "spd": G.T @ G + np.eye(10),
+        }[name]
+        S = 0.5 * (S + S.T)
+        lam, V = eigh_sym(S)
+        norm = np.linalg.norm(S, 2)
+        assert np.linalg.norm(S @ V - V * lam, 2) <= 1e-12 * norm
+        assert np.linalg.norm(V.T @ V - np.eye(S.shape[0]), 2) <= 1e-12
+        assert np.all(np.diff(np.abs(lam)) <= 0.0)
+
 
 # (matrix, rank): wide and tall exercise the QR reduction on either side,
 # odd r the round-robin bye, and the graded rows (scaled 1 .. 1e-12) the

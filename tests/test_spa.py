@@ -35,6 +35,16 @@ class TestSelection:
         with pytest.raises(DegenerateInputError):
             spa_select(A, 2)
 
+    @pytest.mark.parametrize("eta", [3e-9, 1e-10, 1e-11])
+    def test_small_residual_above_floor_is_picked(self, eta):
+        # the second residual 2 eta lies far above the floor 1.4e-12 but below
+        # what the squared-norm downdate resolves
+        assert spa_select(np.array([[1.0, 1.0], [eta, -eta]]), 2).tolist() == [0, 1]
+
+    def test_residual_below_floor_still_degenerate(self):
+        with pytest.raises(DegenerateInputError):
+            spa_select(np.array([[1.0, 1.0], [1e-13, -1e-13]]), 2)
+
     def test_matches_naive_oracle_many_seeds(self):
         for seed in range(40):
             A = SplitMix64(seed).normal_matrix(10, 50)

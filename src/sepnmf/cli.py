@@ -3,9 +3,10 @@
 Subcommands: synth (instance generation), approx (rank-k approximation),
 select (endmember/column selection, single or batch), unmix
 (hyperspectral pipeline), bench (experiment suites); each takes only the
-flags it reads, after its name. Exit codes: 0 ok, 2 usage (any other flag,
-or a value out of range), 3 computation error, 4 benchmark produced no
-rows. Indices are 1-based in all user-facing output and 0-based internally.
+flags it reads, after its name, and select's two modes refuse each other's
+flags. Exit codes: 0 ok, 2 usage (any other flag, or a value out of
+range), 3 computation error, 4 benchmark produced no rows. Indices are
+1-based in all user-facing output and 0-based internally.
 """
 
 import argparse
@@ -68,32 +69,8 @@ def build_parser():
     a.add_argument("--report", required=True, help="output report JSON")
     a.set_defaults(func=cmd_approx)
 
-    c = sub.add_parser("select", help="column selection, single matrix or seeded batch")
-    c.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    c.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for batch suites")
-    c.add_argument("--format", choices=FORMATS, help="matrix file format")
-    c.add_argument("--eps", type=_mvee_eps, default=1e-6, help="ellipsoid tolerance")
-    c.add_argument("matrix", nargs="?", help="matrix file (omit in batch mode)")
-    c.add_argument("-k", type=int, required=True)
-    c.add_argument("--method", choices=SELECTOR_NAMES, default="spa")
-    c.add_argument("--q", type=int, help=f"power exponent for mpspa/merspa (default {DEFAULT_Q})")
-    c.add_argument("--boundary-tol", type=_nonnegative_float, default=DEFAULT_BOUNDARY_TOL)
-    c.add_argument("--truth", help="meta.json with ground-truth indices")
-    c.add_argument("--report", help="output report JSON")
-    c.add_argument("--instances", type=_positive_int, help="batch mode: instances per grid cell")
-    c.add_argument("-d", type=int, help="batch mode: rows")
-    c.add_argument("-m", type=int, help="batch mode: columns")
-    c.add_argument("--deltas", type=_float_list, default="0,0.5,1.0,1.5,2.0",
-                   help="batch noise grid")
-    c.add_argument(
-        "--delta-unit",
-        choices=("sigmin", "abs"),
-        default="sigmin",
-        help="deltas are multipliers of sigma_min(F) or absolute",
-    )
-    c.add_argument("--methods", type=_method_list,
-                   help="batch methods, e.g. spa,pspa,mpspa:1,mpspa:15")
-    c.add_argument("--out", help="batch mode: output CSV")
+    c = _add_select_flags(
+        sub.add_parser("select", help="column selection, single matrix or seeded batch"))
     c.set_defaults(func=cmd_select)
 
     u = sub.add_parser("unmix", help="endmember extraction + abundance maps")
@@ -123,9 +100,60 @@ def build_parser():
     return p
 
 
+def _add_select_flags(c):
+    """Add select's arguments to the parser c and return it."""
+    c.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    c.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for batch suites")
+    c.add_argument("--format", choices=FORMATS, help="matrix file format")
+    c.add_argument("--eps", type=_mvee_eps, default=1e-6, help="ellipsoid tolerance")
+    c.add_argument("matrix", nargs="?", help="matrix file (omit in batch mode)")
+    c.add_argument("-k", type=int, required=True)
+    c.add_argument("--method", choices=SELECTOR_NAMES, default="spa")
+    c.add_argument("--q", type=int, help=f"power exponent for mpspa/merspa (default {DEFAULT_Q})")
+    c.add_argument("--boundary-tol", type=_nonnegative_float, default=DEFAULT_BOUNDARY_TOL)
+    c.add_argument("--truth", help="meta.json with ground-truth indices")
+    c.add_argument("--report", help="output report JSON")
+    c.add_argument("--instances", type=_positive_int, help="batch mode: instances per grid cell")
+    c.add_argument("-d", type=int, help="batch mode: rows")
+    c.add_argument("-m", type=int, help="batch mode: columns")
+    c.add_argument("--deltas", type=_float_list, default="0,0.5,1.0,1.5,2.0",
+                   help="batch noise grid")
+    c.add_argument(
+        "--delta-unit",
+        choices=("sigmin", "abs"),
+        default="sigmin",
+        help="deltas are multipliers of sigma_min(F) or absolute",
+    )
+    c.add_argument("--methods", type=_method_list,
+                   help="batch methods, e.g. spa,pspa,mpspa:1,mpspa:15")
+    c.add_argument("--out", help="batch mode: output CSV")
+    return c
+
+
+# select flags that only one mode reads: the single-matrix mode (a matrix
+# file) and the batch mode (--instances)
+_SINGLE_ONLY = ("--format", "--method", "--q", "--truth", "--report")
+_BATCH_ONLY = ("-d", "-m", "--deltas", "--delta-unit", "--methods", "--out", "--jobs")
+
+
+def _unread_select_flags(args):
+    """The flags on args' select command line that its mode does not read,
+    found by parsing it again into a namespace holding a marker for each:
+    argparse replaces a marker only when its flag is given."""
+    flags = _SINGLE_ONLY if args.instances else _BATCH_ONLY
+    dests = [f.lstrip("-").replace("-", "_") for f in flags]
+    unset = object()
+    ns = argparse.Namespace(**dict.fromkeys(dests, unset))
+    _add_select_flags(argparse.ArgumentParser()).parse_args(args.argv[1:], ns)
+    unread = [f for f, dest in zip(flags, dests) if getattr(ns, dest) is not unset]
+    if args.instances and args.matrix:
+        unread.insert(0, "MATRIX")
+    return unread
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args) or 0
     except SepnmfError as exc:
@@ -272,11 +300,16 @@ def cmd_approx(args):
 
 
 def cmd_select(args):
-    if args.instances:
-        return _select_batch(args)
-    if not args.matrix:
+    if not (args.matrix or args.instances):
         print("error: provide a matrix file or --instances for batch mode", file=sys.stderr)
         return 2
+    unread = _unread_select_flags(args)
+    if unread:
+        mode = "batch (--instances)" if args.instances else "single-matrix"
+        print(f"error: {mode} select does not read {', '.join(unread)}", file=sys.stderr)
+        return 2
+    if args.instances:
+        return _select_batch(args)
     A = read_matrix(args.matrix, args.format)
     q = resolve_q(args.method, args.q)
     notes = []
@@ -323,8 +356,8 @@ def _select_batch(args):
 
 
 def _band_ranges(text):
-    """Comma list of 1-based bands and LO-HI ranges, LO <= HI (an argparse
-    type); returns (lo, hi) pairs."""
+    """Nonempty comma list of 1-based bands and LO-HI ranges, LO <= HI (an
+    argparse type); returns (lo, hi) pairs."""
     ranges = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -339,6 +372,8 @@ def _band_ranges(text):
         if lo > hi:
             raise argparse.ArgumentTypeError(f"empty band range {tok!r}")
         ranges.append((lo, hi))
+    if not ranges:
+        raise argparse.ArgumentTypeError(f"not a comma list of bands: {text!r}")
     return ranges
 
 

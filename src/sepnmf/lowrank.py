@@ -186,7 +186,8 @@ def bound_report(A, approx):
     G = res.U.T @ AI  # r x k; conceptual rows beyond r are exactly zero
     G1 = G[:k, :]
     G2 = G[k:, :]
-    s_g1 = singular_values(G1)
+    r1 = svd_full(G1)
+    s_g1 = r1.S
     g1_min = float(s_g1[-1])
     g2_max = float(singular_values(G2)[0]) if G2.shape[0] else 0.0
 
@@ -208,7 +209,6 @@ def bound_report(A, approx):
     singular_z1 = sigma_k <= 0.0 or g1_min < _SINGULAR_G1_REL * float(s_g1[0])
     quadratic_rhs = None
     if not singular_z1:
-        r1 = svd_full(G1)
         g1_inv = (r1.V / r1.S) @ r1.U.T
         G21 = G2 @ g1_inv
         # H S_1 = S_2^{2q} (G_2 G_1^{-1}) S_1^{1-2q}, evaluated through the

@@ -3,9 +3,11 @@
 Solves  minimize -log det(L)  s.t.  p^T L p <= 1 for every point p,
 L positive definite, through the dual D-optimal design: ascend
 log det M(u) over the weight simplex (Wolfe-Atwood coordinate steps with
-away steps), inside a cutting-plane outer loop that starts from the 10k
-largest-norm points and repeatedly adds the worst violators. At the
-solution L = M(u)^{-1} / k and the Kiefer-Wolfowitz gap certifies
+away steps) on a working set that starts as the 10k largest-norm points.
+One loop alternates ascent bursts of at most _REFRESH_EVERY steps with a
+refresh: M(u)^{-1} is recomputed, the ellipsoid is checked on all points,
+and up to k of the worst violators outside the working set join it. At
+the solution L = M(u)^{-1} / k and the Kiefer-Wolfowitz gap certifies
 log det(L) >= log det(L_opt) - k log(1+eps).
 """
 
@@ -19,7 +21,6 @@ from .linalg import as_matrix, eigh_sym, orthonormalize
 
 DEFAULT_EPS = 1e-6
 MAX_INNER_ITERS = 100_000
-MAX_OUTER_ROUNDS = 200
 _REFRESH_EVERY = 1000
 _SUPPORT_TOL = 1e-8
 _EIG_FLOOR_REL = 1e-14
@@ -66,56 +67,37 @@ def solve_mvee(P, eps=DEFAULT_EPS):
     norms = np.einsum("ij,ij->i", pts, pts)
     order = np.argsort(-norms, kind="stable")
     ws = np.sort(order[: min(10 * k, m)])
-    in_ws = np.zeros(m, dtype=bool)
-    in_ws[ws] = True
-
+    Pw = np.ascontiguousarray(pts[ws])
+    u = np.full(ws.size, 1.0 / ws.size)
+    u = u / u.sum()  # as after each admission: n terms of 1/n need not sum to 1
     u_full = np.zeros(m)
-    u_full[ws] = 1.0 / ws.size
-    total_iters = 0
-
-    for _round in range(MAX_OUTER_ROUNDS):
-        Pw = np.ascontiguousarray(pts[ws])
-        u = np.ascontiguousarray(u_full[ws])
-        s = u.sum()
-        u = u / s if s > 0 else np.full(ws.size, 1.0 / ws.size)
-        converged = False
-        while total_iters < MAX_INNER_ITERS:
-            M = (Pw * u[:, None]).T @ Pw
-            minv = np.ascontiguousarray(_inv_psd(M))
-            kappa = np.einsum("ij,jl,il->i", Pw, minv, Pw)
-            status, done = kernels.mvee_ascent(
-                Pw, u, minv, kappa, eps, MAX_INNER_ITERS - total_iters, _REFRESH_EVERY
-            )
-            total_iters += done
-            if status == 0:
-                converged = True
-                break
-            if status == 2:
-                break
-        u_full[:] = 0.0
+    iters = 0
+    # every pass takes ascent steps or grows the working set, so the step
+    # budget bounds the loop
+    while iters < MAX_INNER_ITERS:
+        M = (Pw * u[:, None]).T @ Pw
+        minv = np.ascontiguousarray(_inv_psd(M))
+        kappa = np.einsum("ij,jl,il->i", Pw, minv, Pw)
+        status, done = kernels.mvee_ascent(
+            Pw, u, minv, kappa, eps, MAX_INNER_ITERS - iters, _REFRESH_EVERY
+        )
+        iters += done
         u_full[ws] = u
-        ell = _finalize(pts, u_full, k, total_iters)
-        if not converged:
-            raise NoConvergenceError(
-                f"ellipsoid ascent hit {MAX_INNER_ITERS} iterations "
-                f"(violation {ell.max_violation:.3e})",
-                ellipsoid=ell,
-            )
-        if ell.max_violation <= eps:
+        ell = _finalize(pts, u_full, k, iters)
+        if status == 0 and ell.max_violation <= eps:
             return ell
-        # admit the worst violators, at most k per round
-        kap_full = k * (1.0 + _violations(pts, ell.L))
-        viol = np.flatnonzero(~in_ws & (kap_full > k * (1.0 + eps)))
-        if viol.size == 0:
+        # admit the worst violators outside the working set, at most k per pass
+        kap = k * (1.0 + _violations(pts, ell.L))
+        viol = np.setdiff1d(np.flatnonzero(kap > k * (1.0 + eps)), ws)
+        if viol.size:
+            ws = np.union1d(ws, viol[np.argsort(-kap[viol], kind="stable")][:k])
+            Pw = np.ascontiguousarray(pts[ws])
+            u = np.maximum(u_full[ws], 1e-12)
+            u = u / u.sum()
+        elif status == 0:
             return ell
-        worst = viol[np.argsort(-kap_full[viol], kind="stable")][: min(k, viol.size)]
-        in_ws[worst] = True
-        ws = np.flatnonzero(in_ws)
-        u_full[ws] = np.maximum(u_full[ws], 1e-12)
-
-    ell = _finalize(pts, u_full, k, total_iters)
     raise NoConvergenceError(
-        f"cutting-plane loop exceeded {MAX_OUTER_ROUNDS} rounds "
+        f"ellipsoid ascent hit {MAX_INNER_ITERS} iterations "
         f"(violation {ell.max_violation:.3e})",
         ellipsoid=ell,
     )

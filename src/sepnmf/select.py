@@ -202,24 +202,24 @@ def select(A, k, method, q=None, eps=DEFAULT_EPS, boundary_tol=DEFAULT_BOUNDARY_
     return Analysis(A, k, eps).select(method, q, boundary_tol)
 
 
-def pspa_select(A, k, eps=DEFAULT_EPS):
+def pspa_select(A, k):
     """Selection on the ellipsoid-whitened truncated-SVD coordinates."""
-    return select(A, k, "pspa", eps=eps)
+    return select(A, k, "pspa")
 
 
-def mpspa_select(A, k, q, eps=DEFAULT_EPS):
+def mpspa_select(A, k, q):
     """pspa with the truncated SVD replaced by the subspace-iteration basis."""
-    return select(A, k, "mpspa", q, eps)
+    return select(A, k, "mpspa", q)
 
 
-def erspa_select(A, k, eps=DEFAULT_EPS, boundary_tol=DEFAULT_BOUNDARY_TOL):
+def erspa_select(A, k, boundary_tol=DEFAULT_BOUNDARY_TOL):
     """Ellipsoid-boundary candidates, successive projection as tie-break."""
-    return select(A, k, "erspa", eps=eps, boundary_tol=boundary_tol)
+    return select(A, k, "erspa", boundary_tol=boundary_tol)
 
 
-def merspa_select(A, k, q, eps=DEFAULT_EPS, boundary_tol=DEFAULT_BOUNDARY_TOL):
+def merspa_select(A, k, q):
     """erspa with the subspace-iteration compression in place of the SVD."""
-    return select(A, k, "merspa", q, eps, boundary_tol)
+    return select(A, k, "merspa", q)
 
 
 def prewhiten_spa_select(A, k):

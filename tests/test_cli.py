@@ -217,6 +217,24 @@ class TestSelect:
         notes = list(select(inst.A, 4, "erspa", boundary_tol=1e-15).notes)
         assert notes and rec["notes"] == notes
 
+    def test_batch_mode_refuses_single_matrix_flags(self, instance_dir, tmp_path):
+        rep, out = tmp_path / "r.json", tmp_path / "g.csv"
+        r = run_cli("select", str(instance_dir / "A.mtx"), "-k", "3", "--instances", "1",
+                    "-d", "12", "-m", "60", "--deltas", "0", "--method", "erspa", "--q", "5",
+                    "--truth", str(instance_dir / "meta.json"), "--report", str(rep),
+                    "--out", str(out))
+        assert r.returncode == 2
+        assert "MATRIX, --method, --q, --truth, --report" in r.stderr
+        assert not rep.exists() and not out.exists()
+
+    def test_single_mode_refuses_batch_flags(self, instance_dir, tmp_path):
+        out = tmp_path / "g2.csv"
+        r = run_cli("select", str(instance_dir / "A.mtx"), "-k", "3", "--methods", "spa,pspa",
+                    "--deltas", "1", "--jobs", "2", "--out", str(out))
+        assert r.returncode == 2
+        assert "--deltas, --methods, --out, --jobs" in r.stderr
+        assert not out.exists()
+
     def test_malformed_matrix_exits_3(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2,3\n4,5\n")
@@ -370,7 +388,7 @@ class TestUnmix:
         em = open(os.path.join(str(tmp_path / "d"), "endmembers.csv")).read().strip()
         assert len(em.splitlines()) == 1 + 9  # header + 12 - 3 dropped bands
 
-    @pytest.mark.parametrize("spec", ["a", "1-2-3", "5-3"])
+    @pytest.mark.parametrize("spec", ["a", "1-2-3", "5-3", ","])
     def test_bad_drop_bands_spec_exits_2(self, cube, tmp_path, spec):
         path, lib, inst = cube
         out = tmp_path / "bad"

@@ -3,9 +3,10 @@ import pytest
 from oracles import khachiyan_logdet
 
 from sepnmf.errors import DimensionMismatchError, RankDeficientError
-from sepnmf.linalg import spectral_norm
+from sepnmf.linalg import spectral_norm, svd_truncated
 from sepnmf.mvee import Ellipsoid, ellipsoid_support, solve_mvee
 from sepnmf.rng import SplitMix64
+from sepnmf.synth import generate_instance
 
 
 class TestExamples:
@@ -80,6 +81,21 @@ def test_no_convergence_carries_last_iterate(monkeypatch):
     assert ell.L.shape == (4, 4)
     assert ell.max_violation > 1e-6
 
+
+def test_degenerate_zero_noise_design_grows_working_set_early():
+    # c01's 10 x 80 x 3 seed 10081 in SVD coordinates: points on the faces of
+    # a simplex, many of them almost on the optimal ellipsoid; violators
+    # outside the starting set join it at the first refresh
+    A = generate_instance(10, 80, 3, 0.0, seed=10_081).A
+    f = svd_truncated(A, 3)
+    P = f.S[:, None] * f.V.T
+    e = solve_mvee(P, 1e-6)
+    assert e.max_violation <= 1e-6
+    logdet_oracle, _, _ = khachiyan_logdet(P, 1e-10)
+    sign, logdet = np.linalg.slogdet(e.L)
+    assert sign > 0
+    assert abs(logdet - logdet_oracle) <= 3 * np.log(1.0 + 1e-6) + 1e-9
+    assert e.iterations < 5_000
 
 class TestInvariances:
     def test_scale_covariance(self):

@@ -88,6 +88,15 @@ CORPUS = (
                                        "--method", "erspa", "--boundary-tol", "-1"]),
         ("select-batch-empty-deltas", ["select", "-k", "3", "--instances", "1", "-d", "20",
                                        "-m", "100", "--deltas", ",", "--out", "grid.csv"]),
+        # flags the other select mode reads
+        ("select-batch-single-flags", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "3",
+                                       "--instances", "1", "-d", "12", "-m", "60",
+                                       "--deltas", "0", "--method", "erspa", "--q", "5",
+                                       "--truth", os.path.join(INSTANCE, "meta.json"),
+                                       "--report", "r.json", "--out", "g.csv"]),
+        ("select-single-batch-flags", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "3",
+                                       "--methods", "spa,pspa", "--deltas", "1", "--jobs", "2",
+                                       "--out", "g2.csv"]),
     ]
 )
 

@@ -1,23 +1,23 @@
 """Dense linear-algebra backbone: spectral norm, SVD, orthonormalization
-and the symmetric PSD square root.
+and the symmetric PSD square root. LAPACK does the bulk; a one-sided
+Jacobi polishes where relative accuracy counts.
 
-The SVD is a self-contained one-sided Jacobi. A wide d x m input (tall
-ones transposed) is first reduced to the d x d triangular factor of a
-Householder QR of A^T, and the Jacobi sweeps run on that factor (Drmac &
-Veselic, SIMAX 2008). The QR is backward stable column by column, so the
-SVD stays deterministic with high relative accuracy on every singular
-value, which the bound diagnostics rely on (tiny sigma_{k+1} against
-1e-10 absolute slacks). The long-side factor is formed once, from the
-QR's reflectors and only for the columns the caller needs. Both factors
-come out orthonormal to machine precision.
+The SVD reduces a wide d x m input (tall ones transposed) to the d x d
+triangular factor X of a Householder QR of A^T, rotates X by the
+eigenvectors of X X^T (Veselic & Hari, Numer. Math. 1989; Drmac &
+Veselic, SIMAX 2008) and runs the Jacobi sweeps on the result. The
+rotated rows start orthogonal up to roundoff, so one or two sweeps
+polish them, and the sweeps still decide convergence: every singular
+value keeps high relative accuracy, which the bound diagnostics rely on
+(tiny sigma_{k+1} against 1e-10 absolute slacks). The long-side factor
+is formed once, from the QR's reflectors and only for the columns the
+caller needs. Both factors come out orthonormal to machine precision.
 
-spectral_norm reduces a wide input through its d x d Gram matrix A A^T
-instead: squaring loses only the small singular values, and sigma_max is
-the only one read from it, while a QR would copy the input.
-
-The symmetric eigenproblems (eigh_sym, behind psd_sqrt and the ellipsoid
-inverse) go to LAPACK: their callers clamp the spectrum at floors
-relative to its norm, so absolute accuracy suffices there.
+spectral_norm (sigma_max of the short-side Gram matrix), orthonormalize
+(a Householder Q whose R shows full rank) and the symmetric
+eigenproblems behind psd_sqrt and the ellipsoid inverse go to LAPACK
+outright: their answers are read against floors relative to the norm,
+so absolute accuracy suffices there.
 """
 
 from dataclasses import dataclass
@@ -35,7 +35,7 @@ from .errors import (
 
 _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 60
-_POWER_MAX_ITERS = 10000
+_SAFE_EXP = 100  # inputs with max |entry| within 2**±100 keep their scale
 _SYM_TOL = 1e-10  # relative asymmetry eigh_sym accepts
 _MGS_REL_TOL = 1e-12  # relative pivot below which orthonormalize drops a direction
 
@@ -50,6 +50,15 @@ def as_matrix(A, name="A"):
     return A
 
 
+def _pow2_scaled(A):
+    """(2**-e * A, e), exact, with e the binary exponent of max |A| when that
+    lies outside 2**±_SAFE_EXP, else (A, 0): LAPACK's dlascl idiom, so the
+    Jacobi test's products of squared norms and the Gram matrices neither
+    overflow nor underflow. max and -min avoid np.abs(A), a copy of A."""
+    e = int(np.frexp(max(A.max(), -A.min()))[1])
+    return (np.ldexp(A, -e), e) if abs(e) > _SAFE_EXP else (A, 0)
+
+
 @dataclass
 class SvdResult:
     """Factors A ~= U @ diag(S) @ V.T with S nonincreasing and >= 0."""
@@ -60,42 +69,16 @@ class SvdResult:
 
 
 def spectral_norm(A, tol=1e-10):
-    """Largest singular value by power iteration on A^T A.
-
-    Deterministic: starts from the normalized all-ones vector v (or, when
-    A v = 0, from the unit vector that picks A's largest-norm column) and
-    stops when successive Rayleigh quotients differ by less than tol times
-    the current value; only the zero matrix gives 0.0. The iteration runs
-    on the short side: in w = A v with G = A A^T when A is wide (in v with
-    G = A^T A when tall), so each step costs O(min(d, m)^2) and A is never
-    copied. Raises NoConvergenceError after _POWER_MAX_ITERS steps.
-    """
+    """Largest singular value: the square root of LAPACK's top eigenvalue of
+    the short-side Gram matrix (A A^T when A is wide, A^T A when tall), so
+    A is not copied unless its scale needs rescaling. tol must be positive
+    and is otherwise unused."""
     A = as_matrix(A)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    d, m = A.shape
-    tall = d > m
-    v = np.full(m, 1.0 / np.sqrt(m))
-    if not (A @ v).any():
-        # rows summing to zero (e.g. centred data) are orthogonal to the all-ones start
-        v = np.eye(1, m, np.argmax(np.einsum("ij,ij->j", A, A)))[0]
-    G = A.T @ A if tall else A @ A.T
-    x = v if tall else A @ v
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITERS):
-        g = G @ x
-        xg = float(x @ g)
-        # Rayleigh quotient |A v|^2: v^T G v when tall, |w|^2 when wide
-        lam_new = xg if tall else float(x @ x)
-        if lam_new == 0.0:
-            return 0.0
-        x = g / (np.linalg.norm(g) if tall else np.sqrt(xg))
-        if abs(lam_new - lam) < tol * lam_new:
-            return float(np.sqrt(lam_new))
-        lam = lam_new
-    raise NoConvergenceError(
-        f"spectral_norm: no convergence in {_POWER_MAX_ITERS} power steps (tol={tol:g})"
-    )
+    A, e = _pow2_scaled(A)
+    G = A.T @ A if A.shape[0] > A.shape[1] else A @ A.T
+    return float(np.ldexp(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)), e))
 
 
 def _apply_q(h, tau, Z):
@@ -115,14 +98,16 @@ def _jacobi_svd(A, k):
     """SVD core. Returns (U, S, V): all r = min(d, m) singular values and the
     leading k singular vector pairs (k = 0 returns S alone)."""
     transposed = A.shape[0] > A.shape[1]
+    A, e = _pow2_scaled(A)
     Y = A.T if transposed else A  # r x n with r <= n
     r = Y.shape[0]
     # Y^T = Q T (Householder, column-wise backward stable), so Y = X Q^T
-    # with X = T^T, and the Jacobi sweeps rotate r x r rows instead of
-    # r x n. The kernel rotates X in place; np.tril copies out of h.
+    # with X = T^T, and the Jacobi sweeps rotate r x r rows instead of r x n
     h, tau = np.linalg.qr(Y.T, mode="raw")
     X = np.tril(h[:, :r])
-    R = np.eye(r)
+    # X <- V^T X and R = V^T for the eigenvectors V of X X^T, descending
+    R = np.linalg.eigh(X @ X.T)[1][:, ::-1].T.copy()
+    X = R @ X
     # rows at or below 1e-15 of the total norm are numerically zero
     floor2 = (1e-15 * float(np.linalg.norm(X))) ** 2
     # sweep cap + 1 runs only when the last allowed sweep still rotated
@@ -131,21 +116,21 @@ def _jacobi_svd(A, k):
         raise NoConvergenceError(f"Jacobi SVD: rotations left after {_JACOBI_MAX_SWEEPS} sweeps")
     s = np.sqrt(np.einsum("ij,ij->i", X, X))
     order = np.argsort(-s, kind="stable")
-    s = s[order]
+    S = np.ldexp(s[order], e)
     if k == 0:
-        return None, s, None
+        return None, S, None
     short = np.ascontiguousarray(R[order[:k]].T)
     # right singular vectors of X; where s is numerically zero, complete
     # them to an orthonormal basis of R^r instead
     live = int(np.count_nonzero(s * s > floor2))
     W = X[order].T
-    W[:, :live] /= s[:live]
+    W[:, :live] /= s[order[:live]]
     if live < r:
         W[:, live:] = np.linalg.qr(W[:, :live], mode="complete")[0][:, live:]
     long = _apply_q(h, tau, W[:, :k])
     if transposed:
-        return long, s, short
-    return short, s, long
+        return long, S, short
+    return short, S, long
 
 
 def svd_full(A):
@@ -191,14 +176,21 @@ def eigh_sym(S):
 def orthonormalize(Y):
     """Orthonormal basis Q of range(Y), one column per independent direction.
 
-    Pivoted Gram-Schmidt with reorthogonalization; a direction is dropped
-    when its pivot (residual norm) falls below _MGS_REL_TOL = 1e-12 times
-    the first pivot. Q has rank(Y) columns and QQ^T Y = Y up to roundoff.
+    The Householder Q of Y when the singular values of its k x k R show full
+    rank (sigma_min > _MGS_REL_TOL * sigma_max); R's diagonal does not reveal
+    rank (Kahan's matrix). Otherwise pivoted Gram-Schmidt with
+    reorthogonalization, dropping a direction when its pivot (residual norm)
+    falls below _MGS_REL_TOL = 1e-12 times the first pivot. Q has rank(Y)
+    columns and QQ^T Y = Y up to roundoff.
     """
     Y = as_matrix(Y, "Y")
     d, k = Y.shape
     if d < k:
         raise BadRankError(f"Y must be tall (d >= k), got {Y.shape}")
+    Q, T = np.linalg.qr(Y)
+    sv = np.linalg.svd(T, compute_uv=False)
+    if sv[-1] > _MGS_REL_TOL * sv[0]:
+        return Q
     W = Y.T.copy()  # the kernel orthogonalizes rows in place; never alias Y
     order = np.zeros(k, np.int64)
     rank = kernels.mgs_rows(W, _MGS_REL_TOL, order)

@@ -225,7 +225,7 @@ def bound_report(A, approx):
         quadratic_rhs = hs1_norm**2 + sigma_k1**2
 
     achieved = float(singular_values(A - approx.B)[0])
-    s_b = singular_values(approx.B)
+    s_b = singular_values(approx.Q.T @ A)  # B = Q Q^T A has the same nonzero sigmas
     rank_b = int(np.sum(s_b > _RANK_B_REL * s_b[0])) if s_b[0] > 0 else 0
 
     return BoundReport(

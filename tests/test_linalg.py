@@ -19,6 +19,7 @@ from sepnmf.linalg import (
     svd_truncated,
 )
 from sepnmf.rng import SplitMix64
+from sepnmf.synth import generate_instance
 
 
 def _rand(seed, d, m):
@@ -155,6 +156,21 @@ class TestOrthonormalize:
         assert Q.shape == (9, 4)
         assert spectral_norm(Q.T @ Q - np.eye(4)) <= 1e-10
         assert spectral_norm(Q @ (Q.T @ Y) - Y) <= 1e-8 * spectral_norm(Y)
+
+    def test_kahan_rank_from_singular_values_not_diagonal(self):
+        # Kahan's matrix: every unpivoted |R_ii| is far above 1e-12 |R_11|,
+        # yet sigma_min < 1e-12 sigma_max, so its numerical rank is n - 1
+        n, c, s = 30, np.cos(0.5), np.sin(0.5)
+        Y = np.diag(s ** np.arange(n)) @ (np.eye(n) + np.triu(-c * np.ones((n, n)), 1))
+        diag = np.abs(np.diag(np.linalg.qr(Y)[1]))
+        sv = np.linalg.svd(Y, compute_uv=False)
+        assert diag.min() > 1e-12 * diag[0]
+        assert sv[-1] < 1e-12 * sv[0]
+        rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
+        assert rank == n - 1
+        Q = orthonormalize(Y)
+        assert Q.shape == (n, rank)
+        assert np.abs(Q.T @ Q - np.eye(rank)).max() <= 1e-12
 
     def test_idempotent_span(self):
         Y = _rand(12, 10, 5)
@@ -302,7 +318,22 @@ def test_jacobi_sweep_cap_raises(monkeypatch):
         svd_full(A)
 
 
-def test_power_iteration_cap_raises(monkeypatch):
-    monkeypatch.setattr(linalg, "_POWER_MAX_ITERS", 2)
-    with pytest.raises(NoConvergenceError):
-        spectral_norm(_rand(51, 9, 14), 1e-12)
+def test_spectral_norm_near_tie_of_top_two():
+    # the noise of this instance has nearly tied sigma_1 and sigma_2, which
+    # stalled the former power iteration into NoConvergenceError
+    inst = generate_instance(50, 2000, 10, 1.0, 13094 * 100_003)
+    ref = np.linalg.norm(inst.N, 2)
+    assert abs(spectral_norm(inst.N) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("shape", [(10, 80), (80, 10)])
+def test_power_of_two_scaling_is_exact(shape):
+    # beyond 2**±100 the Jacobi test's products of squared norms and the
+    # Gram matrices would overflow or underflow without the rescaling
+    A = _rand(52, *shape)
+    s0, t0, n0 = singular_values(A), svd_truncated(A, 3).S, spectral_norm(A)
+    for j in (-900, -500, -101, -60, 60, 101, 500, 900):
+        Aj = np.ldexp(A, j)
+        for got, ref in ((singular_values(Aj), s0), (svd_truncated(Aj, 3).S, t0)):
+            assert (np.abs(np.ldexp(got, -j) - ref) <= 1e-13 * ref).all()
+        assert abs(np.ldexp(spectral_norm(Aj), -j) - n0) <= 1e-13 * n0

@@ -7,7 +7,10 @@ breaks `perfbench/run.py --trace 1` at set-up. This reads the table only.
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -32,3 +35,30 @@ def test_active_backend_is_numpy():
     import sepnmf
 
     assert sepnmf.active_backend() == "numpy"
+
+
+def test_bench_record_parses_every_judge_verdict(tmp_path):
+    # tools/bench_record.py reads compare.py's judge report, a text format it
+    # does not own: a change to that format must fail here, not drop verdicts
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", os.path.join(root, "tools", "bench_record.py"))
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    log = tmp_path / "log.jsonl"
+    with open(log, "w") as fh:
+        for p in range(10):
+            for side, t in (("parent", 1.0 + 0.01 * p), ("change", 0.5 + 0.01 * p)):
+                metrics = {"op_mean_s": t, "peak_rss_mb": 100.0, "setup_s": 0.2}
+                result = {"attempted": 10, "failed": 0,
+                          "metrics": {k: {"value": v} for k, v in metrics.items()}}
+                fh.write(json.dumps({"workload": "bounds", "pair": p, "seed": p,
+                                     "side": side, "result": result}) + "\n")
+    judge = subprocess.run([sys.executable, bench_record.COMPARE, "--judge", str(log)],
+                           capture_output=True, text=True, check=True)
+    assert bench_record.parse_judge(judge.stdout) == {"bounds": {
+        "op_mean_s": {"verdict": "improved", "wins": 10, "pairs": 10},
+        "peak_rss_mb": {"verdict": "no change", "wins": 0, "pairs": 10},
+        "setup_s": {"verdict": "no change", "wins": 0, "pairs": 10},
+        "fail_frac": {"parent": 0.0, "change": 0.0},
+    }}

@@ -3,7 +3,7 @@ simplex-constrained abundance estimation.
 
 Abundances solve, per pixel a, min ||F w - a||^2 over the probability
 simplex with an accelerated projected-gradient loop (step 1/sigma_max^2,
-sort-based exact projection, fixed-point KKT stop at 1e-8).
+threshold-iteration exact projection, fixed-point KKT stop at 1e-8).
 """
 
 from dataclasses import dataclass
@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NoConvergenceError,
     RankDeficientBasisError,
     ShapeMismatchError,
     SizeMismatchError,
@@ -43,17 +44,30 @@ def spectral_angle_distance(f, fhat):
     return float(np.arccos(cosang))
 
 
+def project_columns_to_simplex(V):
+    """Euclidean projection of every column of V onto {w >= 0, sum w = 1}.
+
+    Michelot's threshold iteration (Condat, Math. Program. 2016), at most k
+    passes, on the entries less their column maximum, clamped at -1 where
+    none can be in the support, so no finite scale or tie leaves the simplex.
+    """
+    V = np.asarray(V, dtype=np.float64)
+    k = V.shape[0]
+    D = np.maximum(V - V.max(axis=0), -1.0)
+    theta = np.maximum(-1.0, (D.sum(axis=0) - 1.0) / k)
+    mask, size = np.ones(D.shape, dtype=bool), k
+    while True:
+        mask &= D > theta
+        size, last = mask.sum(axis=0, dtype=np.min_scalar_type(k)), size
+        theta = (np.einsum("ij,ij->j", D, mask) - 1.0) / size
+        if (size == last).all():
+            D -= theta
+            return np.maximum(D, 0.0, out=D)
+
+
 def project_rows_to_simplex(V):
     """Euclidean projection of every row of V onto {w >= 0, sum w = 1}."""
-    V = np.asarray(V, dtype=np.float64)
-    n, k = V.shape
-    U = -np.sort(-V, axis=1)
-    css = np.cumsum(U, axis=1) - 1.0
-    j = np.arange(1, k + 1)
-    cond = U * j > css
-    rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(n), rho] / (rho + 1.0)
-    return np.maximum(V - theta[:, None], 0.0)
+    return project_columns_to_simplex(np.transpose(V)).T
 
 
 @dataclass
@@ -70,7 +84,7 @@ def estimate_abundances(F, A):
 
     Accelerated projected gradient on all pixels at once; stops when the
     fixed-point residual ||w - proj(w - step * grad)||_inf is at most 1e-8
-    for every pixel (or at the iteration cap).
+    for every pixel, and raises NoConvergenceError at the iteration cap.
     """
     F = as_matrix(F, "F")
     A = as_matrix(A)
@@ -80,26 +94,22 @@ def estimate_abundances(F, A):
     s = singular_values(F)
     if s[-1] <= 1e-12 * s[0]:
         raise RankDeficientBasisError("basis is numerically rank deficient")
-    m = A.shape[1]
     step = 1.0 / (s[0] * s[0])
 
     G = F.T @ F
     C = F.T @ A
-    W = np.full((k, m), 1.0 / k)
-    Y = W.copy()
+    W = Y = np.full((k, A.shape[1]), 1.0 / k)
     t_acc = 1.0
-    iters = 0
     for it in range(1, _MAX_FISTA_ITERS + 1):
-        iters = it
-        grad = G @ Y - C
-        W_new = project_rows_to_simplex((Y - step * grad).T).T
+        W_new = project_columns_to_simplex(Y - step * (G @ Y - C))
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
         Y = W_new + ((t_acc - 1.0) / t_new) * (W_new - W)
         W, t_acc = W_new, t_new
         if it % 10 == 0 or it == 1:
-            grad_w = G @ W - C
-            fp = project_rows_to_simplex((W - step * grad_w).T).T
+            fp = project_columns_to_simplex(W - step * (G @ W - C))
             if np.abs(W - fp).max() <= _KKT_TOL:
                 break
+    else:
+        raise NoConvergenceError(f"abundances: KKT stop not met in {_MAX_FISTA_ITERS} steps")
     residuals = np.linalg.norm(F @ W - A, axis=0)
-    return AbundanceResult(W=W, residuals=residuals, iterations=iters)
+    return AbundanceResult(W=W, residuals=residuals, iterations=it)

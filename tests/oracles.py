@@ -3,8 +3,9 @@
 These deliberately take the slow, obvious route so they share no code
 path with the production implementations they check: the selection
 oracle materializes full projectors, the ellipsoid oracle runs plain
-coordinate ascent on the complete point set to near-exact precision, and
-the abundance oracle enumerates every support pattern.
+coordinate ascent on the complete point set to near-exact precision, the
+abundance oracle enumerates every support pattern, and the simplex
+projection oracle sorts each row (Held, Wolfe & Crowder 1974).
 """
 
 import itertools
@@ -105,6 +106,21 @@ def simplex_lsq_oracle(F, a):
                 best_obj = obj
                 best_w = w
     return best_w, best_obj
+
+
+def sort_simplex_projection(V):
+    """Projection of every row of V onto {w >= 0, sum w = 1} by sorting:
+    theta = (sum of the rho largest - 1) / rho for the largest rho whose
+    rho-th entry stays above it."""
+    V = np.asarray(V, dtype=np.float64)
+    n, k = V.shape
+    U = -np.sort(-V, axis=1)
+    css = np.cumsum(U, axis=1) - 1.0
+    j = np.arange(1, k + 1)
+    cond = U * j > css
+    rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(n), rho] / (rho + 1.0)
+    return np.maximum(V - theta[:, None], 0.0)
 
 
 def projector_approx(Y, A):

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from sepnmf.cli import build_parser
+from sepnmf import metrics
+from sepnmf.cli import build_parser, main
 from sepnmf.io import read_json, read_matrix, write_json, write_matrix
 from sepnmf.reports import strip_timing
 from sepnmf.synth import generate_instance
@@ -309,6 +310,15 @@ class TestUnmix:
                     "--out", str(tmp_path / "m"), "--expect-match", "pspa")
         assert r.returncode == 0, r.stderr
         assert "match" in r.stdout
+
+    def test_abundance_iteration_cap_exits_3_before_writing(self, cube, tmp_path,
+                                                            monkeypatch, capsys):
+        path, lib, inst = cube
+        out = tmp_path / "capped"
+        monkeypatch.setattr(metrics, "_MAX_FISTA_ITERS", 3)
+        assert main(["unmix", path, "-k", "3", "--method", "pspa", "--out", str(out)]) == 3
+        assert "abundances: KKT stop not met in 3 steps" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ("--method", "bogus"),

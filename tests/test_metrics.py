@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
-from oracles import simplex_lsq_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import simplex_lsq_oracle, sort_simplex_projection
 
+from sepnmf import metrics
 from sepnmf.errors import (
+    NoConvergenceError,
     RankDeficientBasisError,
     SizeMismatchError,
     ZeroVectorError,
@@ -71,6 +75,42 @@ class TestSimplexProjection:
             e[j] = 1.0
             assert (d_w <= np.sum((V - e) ** 2, axis=1) + 1e-12).all()
 
+    @pytest.mark.parametrize("v, want", [
+        pytest.param([1e17] * 3, [1 / 3] * 3, id="huge-tie"),
+        pytest.param([1e17, 1e17 - 64, 0.0], [1.0, 0.0, 0.0], id="huge-gap"),
+        pytest.param([1e-300] * 4, [0.25] * 4, id="tiny-tie"),
+        pytest.param([1e-300, 0.0], [0.5, 0.5], id="tiny-gap"),
+        pytest.param([-7.5], [1.0], id="k1"),
+        pytest.param([2.0, 2.0, -1.0, 2.0], [1 / 3, 1 / 3, 0.0, 1 / 3], id="tie-on-support"),
+        pytest.param([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], id="tie-at-threshold"),
+        pytest.param([1e308, -1e308, 5.0], [1.0, 0.0, 0.0], id="span-overflows"),
+    ])
+    def test_scale_and_ties_stay_on_simplex(self, v, want):
+        with np.errstate(over="ignore"):
+            w = project_rows_to_simplex([v])[0]
+        assert (w >= 0).all()
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert np.abs(w - want).max() <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(lambda k: st.lists(
+            st.lists(st.integers(-64, 64), min_size=k, max_size=k), min_size=1, max_size=6)),
+        st.integers(-30, 30),
+    )
+    def test_matches_sort_oracle(self, rows, j):
+        # quarter steps times 2^j are exact, ties common and the oracle's sums exact
+        V = np.ldexp(np.array(rows, dtype=float) / 4, j)
+        want = sort_simplex_projection(V)
+        tol = 1e-15 * max(1.0, np.abs(V).max())
+        assert np.abs(project_rows_to_simplex(V) - want).max() <= tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 8), min_size=1, max_size=8).filter(any))
+    def test_feasible_point_is_fixed(self, counts):
+        w = np.array(counts, dtype=float) / sum(counts)
+        assert np.abs(project_rows_to_simplex([w])[0] - w).max() <= 1e-15
+
 
 class TestAbundances:
     def test_pure_vertex(self):
@@ -129,3 +169,12 @@ class TestAbundances:
         a = F @ np.array([0.25, 0.25, 0.25, 0.25])
         res = estimate_abundances(F, a.reshape(-1, 1))
         assert res.residuals[0] <= 1e-6
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        r = SplitMix64(7)
+        F = r.uniform(40).reshape(10, 4)
+        A = r.normal_matrix(10, 25)
+        assert estimate_abundances(F, A).iterations > 3
+        monkeypatch.setattr(metrics, "_MAX_FISTA_ITERS", 3)
+        with pytest.raises(NoConvergenceError, match="3 steps"):
+            estimate_abundances(F, A)

@@ -196,7 +196,7 @@ def _tab2_worker(task):
     d, m, k, q, seed = task
     base = generate_instance(d, m, k, 1.0, seed)
     inst = rescale_noise(base, _TAB2_DELTA_MULT * sigma_min(base.F))
-    norm_a = spectral_norm(inst.A, 1e-9)
+    norm_a = spectral_norm(inst.A)
     rows = []
     for method in APPROX_NAMES:
         ap = approximate(inst.A, k, method, q, 0, seed)

@@ -58,7 +58,6 @@ def build_parser():
     a = sub.add_parser("approx", help="rank-k approximation of a matrix file")
     a.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     a.add_argument("--format", choices=FORMATS, help="matrix file format")
-    a.add_argument("--tol", type=_positive_float, default=1e-10, help="spectral-norm tolerance")
     a.add_argument("matrix")
     a.add_argument("-k", type=int, required=True)
     a.add_argument("--q", type=int, default=10)
@@ -189,7 +188,6 @@ def _checked(convert, check, requirement):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "must be >= 1")
-_positive_float = _checked(float, lambda v: v > 0.0, "must be > 0")
 _nonnegative_float = _checked(float, lambda v: v >= 0.0, "must be >= 0")
 _mvee_eps = _checked(float, lambda v: 0.0 < v < 0.5, "must lie in (0, 0.5)")  # solve_mvee's domain
 
@@ -267,12 +265,12 @@ def _load_truth(path, A=None):
 
 def cmd_approx(args):
     A = read_matrix(args.matrix, args.format)
-    ap = approximate(A, args.k, args.method, args.q, args.oversample, args.seed, args.tol)
+    ap = approximate(A, args.k, args.method, args.q, args.oversample, args.seed)
     record = {
         "seed": args.seed,
         "q": args.q,
         "abs_error": ap.error2,
-        "rel_error": ap.error2 / spectral_norm(A, args.tol),
+        "rel_error": ap.error2 / spectral_norm(A),
         "timing": ap.timings,
     }
     bound_fields = None

@@ -14,6 +14,7 @@ import json
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -74,9 +75,17 @@ def open_input(path, mode="r"):
         raise InputFileError(f"{path}: cannot open ({exc.strerror or exc})") from None
 
 
+def _loadtxt(fh, **kwargs):
+    """np.loadtxt without its no-data warning (read_matrix refuses no data itself)."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(fh, **kwargs)
+
+
 def read_matrix(path, fmt=None):
     """Read a dense matrix; a missing file raises InputFileError and a
-    malformed one BadShapeError, each naming it."""
+    malformed or empty one (a row or column count of 0) BadShapeError,
+    each naming it."""
     fmt = matrix_format(path, fmt)
     if fmt == "mtx":
         try:
@@ -88,10 +97,10 @@ def read_matrix(path, fmt=None):
                 while line.startswith("%"):
                     line = fh.readline()
                 d, m = (int(tok) for tok in line.split())
-                data = np.loadtxt(fh, ndmin=1)
+                data = _loadtxt(fh, ndmin=1)
         except ValueError as exc:  # also undecodable bytes (UnicodeDecodeError)
             raise BadShapeError(f"{path}: malformed Matrix Market file ({exc})") from None
-        if min(d, m) < 0 or data.size != d * m:
+        if min(d, m) < 1 or data.size != d * m:
             raise BadShapeError(f"{path}: size line says {d} x {m}, got {data.size} entries")
         A = data.reshape(m, d).T.copy()
     elif fmt == "bin":
@@ -104,17 +113,17 @@ def read_matrix(path, fmt=None):
                 raise BadShapeError(f"{path}: truncated header")
             d, m = struct.unpack("<QQ", header)
             payload = fh.read()
-        if len(payload) != 8 * d * m:
-            raise BadShapeError(
-                f"{path}: a {d} x {m} header needs {8 * d * m} payload bytes, got {len(payload)}"
-            )
+        if min(d, m) < 1 or len(payload) != 8 * d * m:
+            raise BadShapeError(f"{path}: header says {d} x {m}, got {len(payload)} payload bytes")
         A = np.frombuffer(payload, dtype="<f8").reshape(d, m).copy()
     else:
         try:
             with open_input(path) as fh:
-                A = np.loadtxt(fh, delimiter=",", ndmin=2)
+                A = _loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise BadShapeError(f"{path}: malformed CSV matrix ({exc})") from None
+        if A.size == 0:
+            raise BadShapeError(f"{path}: no matrix entries")
     if not np.isfinite(A).all():
         raise NonFiniteError(f"{path} contains non-finite entries")
     return np.ascontiguousarray(A)

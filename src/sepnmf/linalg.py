@@ -50,11 +50,11 @@ def as_matrix(A, name="A"):
     return A
 
 
-def _pow2_scaled(A):
+def pow2_scaled(A):
     """(2**-e * A, e), exact, with e the binary exponent of max |A| when that
     lies outside 2**±_SAFE_EXP, else (A, 0): LAPACK's dlascl idiom, so the
-    Jacobi test's products of squared norms and the Gram matrices neither
-    overflow nor underflow. max and -min avoid np.abs(A), a copy of A."""
+    Jacobi test's squared norms, the Gram matrices and the selectors' stages
+    neither overflow nor underflow. max and -min avoid np.abs(A), a copy."""
     e = int(np.frexp(max(A.max(), -A.min()))[1])
     return (np.ldexp(A, -e), e) if abs(e) > _SAFE_EXP else (A, 0)
 
@@ -68,15 +68,12 @@ class SvdResult:
     V: np.ndarray
 
 
-def spectral_norm(A, tol=1e-10):
+def spectral_norm(A):
     """Largest singular value: the square root of LAPACK's top eigenvalue of
     the short-side Gram matrix (A A^T when A is wide, A^T A when tall), so
-    A is not copied unless its scale needs rescaling. tol must be positive
-    and is otherwise unused."""
+    A is not copied unless its scale needs rescaling."""
     A = as_matrix(A)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    A, e = _pow2_scaled(A)
+    A, e = pow2_scaled(A)
     G = A.T @ A if A.shape[0] > A.shape[1] else A @ A.T
     return float(np.ldexp(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)), e))
 
@@ -98,7 +95,7 @@ def _jacobi_svd(A, k):
     """SVD core. Returns (U, S, V): all r = min(d, m) singular values and the
     leading k singular vector pairs (k = 0 returns S alone)."""
     transposed = A.shape[0] > A.shape[1]
-    A, e = _pow2_scaled(A)
+    A, e = pow2_scaled(A)
     Y = A.T if transposed else A  # r x n with r <= n
     r = Y.shape[0]
     # Y^T = Q T (Householder, column-wise backward stable), so Y = X Q^T

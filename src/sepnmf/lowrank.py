@@ -26,7 +26,6 @@ from .reports import stage
 from .rng import SplitMix64
 from .spa import spa_select
 
-_ERR_TOL = 1e-9
 _RANK_B_REL = 1e-10
 _SINGULAR_G1_REL = 1e-12
 BOUND_MARGIN_CONSTANT = 20164.0  # = 142^2, the squared margin constant of the error bound
@@ -89,7 +88,7 @@ def power_rounds(A, Q, q):
     return Q
 
 
-def approximate(A, k, method, q, oversample=0, seed=0, err_tol=_ERR_TOL):
+def approximate(A, k, method, q, oversample=0, seed=0):
     """Rank-k approximation of A by the engine `method`, one of APPROX_NAMES.
 
     Stage times go to `timings` under the seed's key (`spa`, `sample` or
@@ -129,7 +128,7 @@ def approximate(A, k, method, q, oversample=0, seed=0, err_tol=_ERR_TOL):
         with stage(timings, "form_b"):
             B = Q @ (Q.T @ A)
     with stage(timings, "error_norm"):
-        err = spectral_norm(A - B, err_tol)
+        err = spectral_norm(A - B)
     rand = method == "rand"
     return RankKApprox(
         Q=Q,

@@ -53,7 +53,8 @@ def project_columns_to_simplex(V):
     """
     V = np.asarray(V, dtype=np.float64)
     k = V.shape[0]
-    D = np.maximum(V - V.max(axis=0), -1.0)
+    with np.errstate(over="ignore"):  # a span past the float range gives -inf, clamped too
+        D = np.maximum(V - V.max(axis=0), -1.0)
     theta = np.maximum(-1.0, (D.sum(axis=0) - 1.0) / k)
     mask, size = np.ones(D.shape, dtype=bool), k
     while True:

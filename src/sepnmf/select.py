@@ -26,7 +26,7 @@ So pspa, erspa and prewhiten share one SVD, and pspa and erspa one
 ellipsoid, as do mpspa and merspa at equal q. `select(A, k, method)` runs
 one method on its own Analysis; the `*_select` functions are shorthands.
 
-Selection indices always refer to columns of the original matrix.
+Indices refer to columns of the original matrix and do not depend on its scale.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadRankError, RankDeficientError
-from .linalg import as_matrix, psd_sqrt, svd_full, svd_truncated
+from .linalg import as_matrix, pow2_scaled, psd_sqrt, svd_full, svd_truncated
 from .lowrank import power_rounds, subspace_basis
 from .mvee import DEFAULT_EPS, ellipsoid_support, solve_mvee
 from .reports import stage
@@ -61,7 +61,6 @@ class SelectorResult:
     indices: np.ndarray
     method: str
     q: int | None = None
-    preconditioner: np.ndarray | None = None
     timing: dict = field(default_factory=dict)
     notes: tuple = ()
 
@@ -91,7 +90,7 @@ class Analysis:
     methods; a stage already computed adds ~0 to a method's timing."""
 
     def __init__(self, A, k, eps=DEFAULT_EPS):
-        self.A = as_matrix(A)
+        self.A = pow2_scaled(as_matrix(A))[0]  # 2**j * A runs as A does
         if not (1 <= k <= min(self.A.shape)):
             raise BadRankError(f"k must satisfy 1 <= k <= {min(self.A.shape)}, got {k}")
         self.k = k
@@ -160,14 +159,13 @@ class Analysis:
                 f = self._memo("seed-svd", lambda: svd_full(np.ascontiguousarray(A[:, idx0])))
 
         # whiten: the pick stage works on C @ X
-        C, X, preconditioner = None, A, None
+        C, X = None, A
         if whiten == "mvee":
             with stage(timing, "mvee"):
                 ell = self._memo(("mvee", compress, q), lambda: solve_mvee(P, self.eps))
             with stage(timing, "sqrt"):
                 C = self._memo(("sqrt", compress, q), lambda: psd_sqrt(ell.L))
-            # a copy: the analysis keeps C for the other methods
-            X, preconditioner = P, C.copy()
+            X = P
         elif whiten == "sigma":
             with stage(timing, "svd"):
                 if f.S[-1] <= 1e-12 * f.S[0]:
@@ -176,8 +174,6 @@ class Analysis:
                         else f"{method}: seed submatrix is numerically rank deficient"
                     )
                 C = np.ascontiguousarray(f.U.T / f.S[:, None])
-            # k x k symmetric record of the conditioning applied (C C^T form)
-            preconditioner = np.diag(1.0 / (f.S * f.S))
 
         if pick == "spa":
             with stage(timing, "spa"):
@@ -191,7 +187,6 @@ class Analysis:
             indices=idx,
             method=method,
             q=q,
-            preconditioner=preconditioner,
             timing=timing,
             notes=tuple(notes),
         )

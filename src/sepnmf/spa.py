@@ -12,7 +12,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BadRankError, DegenerateInputError
-from .linalg import as_matrix
+from .linalg import as_matrix, pow2_scaled
 
 REL_DEGENERATE_TOL = 1e-12
 
@@ -22,9 +22,9 @@ def spa_select(A, k):
 
     Raises DegenerateInput when some round finds all residual norms at or
     below 1e-12 times the Frobenius norm of A (fewer than k independent
-    directions).
+    directions). A runs as pow2_scaled(A), so 2**j * A gives the same picks.
     """
-    A = as_matrix(A)
+    A = pow2_scaled(as_matrix(A))[0]
     d, m = A.shape
     if not (1 <= k <= min(d, m)):
         raise BadRankError(f"k must satisfy 1 <= k <= {min(d, m)}, got {k}")

@@ -75,7 +75,7 @@ def generate_instance(d, m, k, delta, seed, alpha=None):
 
     raw = rng.normal_matrix(d, m)
     if delta > 0:
-        N = raw * (delta / spectral_norm(raw, 1e-10))
+        N = raw * (delta / spectral_norm(raw))
     else:
         N = np.zeros((d, m))
 

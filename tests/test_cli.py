@@ -97,6 +97,13 @@ class TestApprox:
         assert "note: --bounds applies to method=spa only; skipped" in r.stderr
         assert read_json(rep_path)["bound_fields"] is None
 
+    def test_spectral_norm_tolerance_flag_is_gone(self, instance_dir, tmp_path):
+        r = run_cli("approx", str(instance_dir / "A.mtx"), "-k", "4", "--tol", "1e-9",
+                    "--report", str(tmp_path / "rep.json"))
+        assert r.returncode == 2
+        assert "unrecognized arguments: --tol 1e-9" in r.stderr
+        assert not (tmp_path / "rep.json").exists()
+
     def test_svd_and_spa_close_under_hypothesis(self, tmp_path):
         inst = generate_instance(20, 150, 4, 0.0, seed=31)
         from sepnmf.synth import rescale_noise, robust_noise_bound
@@ -440,7 +447,7 @@ class TestBench:
 # and any flag placed before the subcommand, is a usage error
 FLAG_MAP = {
     "synth": ("--seed", "--format"),
-    "approx": ("--seed", "--format", "--tol"),
+    "approx": ("--seed", "--format"),
     "select": ("--seed", "--jobs", "--format", "--eps"),
     "unmix": ("--format", "--eps"),
     "bench": ("--seed", "--jobs"),
@@ -451,7 +458,6 @@ FLAG_VALUES = {
     "--jobs": ("2", 2, 1),
     "--format": ("bin", "bin", None),
     "--eps": ("1e-3", 1e-3, 1e-6),
-    "--tol": ("1e-9", 1e-9, 1e-10),
 }
 # a complete command line of each subcommand; these tests only parse it
 BASE_ARGV = {
@@ -500,8 +506,6 @@ class TestFlagMap:
         ("select", "--eps", "0.5"),
         ("select", "--eps", "0"),
         ("unmix", "--eps", "nan"),
-        ("approx", "--tol", "0"),
-        ("approx", "--tol", "-1"),
         ("select", "--jobs", "0"),
         ("bench", "--jobs", "0"),
         ("select", "--boundary-tol", "-1"),

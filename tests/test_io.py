@@ -1,11 +1,17 @@
+import os
 import struct
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sepnmf.errors import BadShapeError, InputFileError
+from sepnmf.errors import BadShapeError, InputFileError, SepnmfError
 from sepnmf.io import (
     BIN_MAGIC,
+    FORMATS,
     matrix_format,
     read_json,
     read_matrix,
@@ -61,6 +67,11 @@ _MALFORMED = {
     "header.bin": BIN_MAGIC + b"\x03\x00\x00",
     "size.mtx": b"%%MatrixMarket matrix array real general\n2 x\n1\n2\n",
     "ragged.csv": b"1,2,3\n4,5\n",
+    # a row or column count of 0 is refused before any reshape
+    "rows0.bin": BIN_MAGIC + struct.pack("<QQ", 2**63, 0),
+    "cols0.bin": BIN_MAGIC + struct.pack("<QQ", 0, 2**62),
+    "rows0.mtx": b"%%MatrixMarket matrix array real general\n0 100000000000000000000\n",
+    "empty.csv": b"",
 }
 
 
@@ -86,6 +97,54 @@ def test_unreadable_input_raises_typed_error(tmp_path, name, payload, reader, er
         p.write_bytes(payload)
     with pytest.raises(error, match=name):
         reader(str(p))
+
+
+# the fuzzers' starting points: _SEED_MATRIX in each format
+_SEED_MATRIX = np.array([[1.5, -2.0, 0.25], [3.0, 0.001, 7.0]])
+_VALID = {
+    "mtx": b"%%MatrixMarket matrix array real general\n2 3\n1.5\n3.0\n-2.0\n0.001\n0.25\n7.0\n",
+    "bin": BIN_MAGIC + struct.pack("<QQ", 2, 3) + _SEED_MATRIX.astype("<f8").tobytes(),
+    "csv": b"1.5,-2.0,0.25\n3.0,0.001,7.0\n",
+}
+
+
+def _read_fuzzed(fmt, payload):
+    """read_matrix on payload, which must give a finite nonempty matrix or a
+    typed error, and no warning."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = os.path.join(tmp, f"fuzz.{fmt}")
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        try:
+            A = read_matrix(path)
+        except SepnmfError:
+            return
+    assert A.ndim == 2 and A.size > 0 and np.isfinite(A).all()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_fuzz_seeds_read_as_their_matrix(tmp_path, fmt):
+    (tmp_path / f"seed.{fmt}").write_bytes(_VALID[fmt])
+    assert np.array_equal(read_matrix(str(tmp_path / f"seed.{fmt}")), _SEED_MATRIX)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FORMATS), st.lists(
+    st.tuples(st.integers(0, 200), st.integers(0, 4), st.binary(max_size=4)), min_size=1, max_size=4))
+def test_mutated_bytes_give_only_typed_errors(fmt, edits):
+    # each edit replaces `cut` bytes at `pos` by `new`
+    payload = bytearray(_VALID[fmt])
+    for pos, cut, new in edits:
+        pos %= len(payload) + 1
+        payload[pos:pos + cut] = new
+    _read_fuzzed(fmt, bytes(payload))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(0, 8))
+def test_binary_header_counts_give_only_typed_errors(d, m, entries):
+    _read_fuzzed("bin", BIN_MAGIC + struct.pack("<QQ", d, m) + b"\x00" * (8 * entries))
 
 
 def test_pgm_output(tmp_path):

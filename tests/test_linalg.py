@@ -36,7 +36,7 @@ class TestSpectralNorm:
     def test_matches_full_svd(self):
         A = _rand(10, 8, 6)
         s = svd_truncated(A, 6).S[0]
-        assert spectral_norm(A, 1e-12) == pytest.approx(s, abs=1e-8)
+        assert spectral_norm(A) == pytest.approx(s, abs=1e-8)
 
     def test_rejects_nonfinite(self):
         A = np.ones((2, 2))
@@ -78,7 +78,7 @@ class TestSvd:
         A = _rand(3, 10, 7)
         s = singular_values(A)
         f = svd_truncated(A, 3)
-        resid = spectral_norm(A - f.U @ (f.S[:, None] * f.V.T), 1e-12)
+        resid = spectral_norm(A - f.U @ (f.S[:, None] * f.V.T))
         assert resid == pytest.approx(s[3], abs=1e-8 * max(1.0, s[0]))
 
     def test_factor_orthonormality_and_order(self):
@@ -112,7 +112,7 @@ class TestSvd:
     def test_perturbation_bound(self):
         A = _rand(7, 7, 11)
         N = 0.3 * _rand(8, 7, 11)
-        n2 = spectral_norm(N, 1e-12)
+        n2 = spectral_norm(N)
         sa = singular_values(A)
         sb = singular_values(A + N)
         assert np.abs(sa - sb).max() <= n2 + 1e-10
@@ -279,7 +279,7 @@ def test_svd_matches_lapack(name):
 def test_spectral_norm_matches_lapack(name):
     A, _ = _SHAPES[name]
     ref = np.linalg.norm(A, 2)
-    assert abs(spectral_norm(A, 1e-12) - ref) <= 1e-9 * ref
+    assert abs(spectral_norm(A) - ref) <= 1e-9 * ref
 
 
 @pytest.mark.parametrize("r", [7, 8])

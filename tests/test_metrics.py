@@ -85,9 +85,9 @@ class TestSimplexProjection:
         pytest.param([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], id="tie-at-threshold"),
         pytest.param([1e308, -1e308, 5.0], [1.0, 0.0, 0.0], id="span-overflows"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_scale_and_ties_stay_on_simplex(self, v, want):
-        with np.errstate(over="ignore"):
-            w = project_rows_to_simplex([v])[0]
+        w = project_rows_to_simplex([v])[0]
         assert (w >= 0).all()
         assert abs(w.sum() - 1.0) <= 1e-12
         assert np.abs(w - want).max() <= 1e-15

@@ -34,7 +34,7 @@ def test_sigma_k1_bounded_by_delta():
 
 def test_noise_norm_matches_delta():
     inst = generate_instance(25, 300, 5, 2.5, seed=9)
-    assert spectral_norm(inst.N, 1e-10) == pytest.approx(2.5, rel=1e-8)
+    assert spectral_norm(inst.N) == pytest.approx(2.5, rel=1e-8)
 
 
 def test_bit_identical_reruns():
@@ -48,8 +48,8 @@ def test_bit_identical_reruns():
 def test_doubling_delta_doubles_noise_norm():
     a = generate_instance(18, 140, 4, 0.7, seed=11)
     b = generate_instance(18, 140, 4, 1.4, seed=11)
-    ra = spectral_norm(a.N, 1e-10)
-    rb = spectral_norm(b.N, 1e-10)
+    ra = spectral_norm(a.N)
+    rb = spectral_norm(b.N)
     assert rb == pytest.approx(2.0 * ra, rel=1e-8)
     assert np.array_equal(a.F, b.F)
 
@@ -90,7 +90,7 @@ def test_shape_validation():
 def test_rescale_noise_consistency():
     base = generate_instance(16, 120, 4, 1.0, seed=13)
     half = rescale_noise(base, 0.5)
-    assert spectral_norm(half.N, 1e-10) == pytest.approx(0.5, rel=1e-8)
+    assert spectral_norm(half.N) == pytest.approx(0.5, rel=1e-8)
     zero = rescale_noise(base, 0.0)
     assert singular_values(zero.A)[4] <= 1e-10 * spectral_norm(zero.A)
     with pytest.raises(BadShapeError):

@@ -73,6 +73,8 @@ CORPUS = (
         # before the subcommand, and values out of range
         ("select-unread-tol", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
                                "--tol", "1e-9"]),
+        ("approx-unread-tol", ["approx", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
+                               "--tol", "1e-9", "--report", "report.json"]),
         ("bench-unread-eps", ["bench", "fig1", "--scale", "tiny", "--eps", "1e-3",
                               "--out", "."]),
         ("unmix-unread-seed", ["unmix", os.path.join(CUBE, "A.bin"), "-k", "3", "--seed", "1",
@@ -81,8 +83,6 @@ CORPUS = (
                                "-o", "."]),
         ("select-eps-range", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
                               "--method", "pspa", "--eps", "0.7"]),
-        ("approx-tol-range", ["approx", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
-                              "--tol", "0", "--report", "report.json"]),
         ("bench-jobs-range", ["bench", "fig1", "--scale", "tiny", "--jobs", "0", "--out", "."]),
         ("select-boundary-tol-range", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
                                        "--method", "erspa", "--boundary-tol", "-1"]),

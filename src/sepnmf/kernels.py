@@ -6,38 +6,40 @@ All loops operate on rows of C-ordered arrays so every inner np.dot sees
 contiguous memory.
 """
 
+import functools
 import math
 
 import numpy as np
 
 
-def _round_robin(r):
+@functools.lru_cache(maxsize=128)
+def _round_robin(r, lead=None):
     # Brent-Luk schedule by the circle method: r - 1 rounds (r for odd r,
-    # where slot r is a bye) of floor(r/2) disjoint pairs (i < j); over
-    # the rounds every pair appears exactly once.
+    # where slot r is a bye) of floor(r/2) disjoint pairs (i < j), each pair
+    # once; only pairs with i < lead (default r) are kept. Cached: read-only.
     slots = list(range(r + r % 2))
     n = len(slots)
     rounds = []
     for _ in range(n - 1):
         pairs = np.array([sorted((slots[p], slots[n - 1 - p])) for p in range(n // 2)], dtype=np.intp)
-        pairs = pairs[pairs[:, 1] < r]
+        pairs = pairs[(pairs[:, 1] < r) & (pairs[:, 0] < (r if lead is None else lead))].T.copy()
         if pairs.size:
-            rounds.append((pairs[:, 0], pairs[:, 1]))
+            pairs.flags.writeable = False
+            rounds.append(tuple(pairs))
         slots = slots[:1] + slots[-1:] + slots[1:-1]
-    return rounds
+    return tuple(rounds)
 
 
-def svd_jacobi_rows(X, R, tol, floor2, max_sweeps):
+def svd_jacobi_rows(X, R, tol, floor2, max_sweeps, lead=None):
     # Orthogonalize the rows of X in place by plane rotations, accumulating
     # the same rotations in R (so original X = R.T @ final X). Rows whose
     # squared norm is at or below floor2 count as numerically zero and are
-    # left alone. A sweep visits every pair once, in round-robin rounds of
-    # disjoint pairs that are rotated together. Returns the number of
-    # sweeps used; a sweep with no rotations means convergence.
+    # left alone. A sweep visits every pair (with lead, each touching one of
+    # the first lead rows) once, in round-robin rounds of disjoint pairs.
+    # Returns the number of sweeps used; a sweep with no rotations converges.
     n = X.shape[1]
     XR = np.concatenate([X, R], axis=1)  # one gather/scatter rotates both
-    rounds = _round_robin(X.shape[0])
-    tol2 = tol * tol
+    rounds = _round_robin(X.shape[0], lead)
     sweeps = 0
     for _sweep in range(max_sweeps):
         norms2 = np.einsum("ij,ij->i", XR[:, :n], XR[:, :n])
@@ -48,7 +50,8 @@ def svd_jacobi_rows(X, R, tol, floor2, max_sweeps):
             xi = XR[I]
             xj = XR[J]
             c = np.einsum("ij,ij->i", xi[:, :n], xj[:, :n])
-            live = (np.minimum(a, b) > floor2) & (c * c > tol2 * (a * b))
+            # |cos| > tol, with no product of squared norms to overflow or underflow
+            live = (np.minimum(a, b) > floor2) & (np.abs(c) > tol * np.sqrt(a) * np.sqrt(b))
             if not live.all():
                 if not live.any():
                     continue

@@ -5,13 +5,13 @@ Jacobi polishes where relative accuracy counts.
 The SVD reduces a wide d x m input (tall ones transposed) to the d x d
 triangular factor X of a Householder QR of A^T, rotates X by the
 eigenvectors of X X^T (Veselic & Hari, Numer. Math. 1989; Drmac &
-Veselic, SIMAX 2008) and runs the Jacobi sweeps on the result. The
-rotated rows start orthogonal up to roundoff, so one or two sweeps
-polish them, and the sweeps still decide convergence: every singular
+Veselic, SIMAX 2008) and runs the Jacobi sweeps on the rows, which then
+start orthogonal up to roundoff: one or two sweeps polish them (only the k
+leading rows for a truncated SVD) and decide convergence, so every singular
 value keeps high relative accuracy, which the bound diagnostics rely on
-(tiny sigma_{k+1} against 1e-10 absolute slacks). The long-side factor
-is formed once, from the QR's reflectors and only for the columns the
-caller needs. Both factors come out orthonormal to machine precision.
+(tiny sigma_{k+1} against 1e-10 absolute slacks). The long-side factor is
+formed once from the QR's reflectors, for the columns the caller needs
+only. Both factors come out orthonormal to machine precision.
 
 spectral_norm (sigma_max of the short-side Gram matrix), orthonormalize
 (a Householder Q whose R shows full rank) and the symmetric
@@ -103,12 +103,15 @@ def _jacobi_svd(A, k):
     h, tau = np.linalg.qr(Y.T, mode="raw")
     X = np.tril(h[:, :r])
     # X <- V^T X and R = V^T for the eigenvectors V of X X^T, descending
-    R = np.linalg.eigh(X @ X.T)[1][:, ::-1].T.copy()
+    lam, R = np.linalg.eigh(X @ X.T)
+    R = R[:, ::-1].T.copy()
     X = R @ X
     # rows at or below 1e-15 of the total norm are numerically zero
     floor2 = (1e-15 * float(np.linalg.norm(X))) ** 2
+    # polish only the k leading rows when the top-k eigenspace stands apart
+    lead = k if 0 < k < r and lam[-k] - lam[-k - 1] > 1e-8 * lam[-1] else r
     # sweep cap + 1 runs only when the last allowed sweep still rotated
-    sweeps = kernels.svd_jacobi_rows(X, R, _JACOBI_TOL, floor2, _JACOBI_MAX_SWEEPS + 1)
+    sweeps = kernels.svd_jacobi_rows(X, R, _JACOBI_TOL, floor2, _JACOBI_MAX_SWEEPS + 1, lead)
     if sweeps > _JACOBI_MAX_SWEEPS:
         raise NoConvergenceError(f"Jacobi SVD: rotations left after {_JACOBI_MAX_SWEEPS} sweeps")
     s = np.sqrt(np.einsum("ij,ij->i", X, X))
@@ -137,7 +140,11 @@ def svd_full(A):
 
 
 def svd_truncated(A, k):
-    """Top-k truncated SVD; the residual spectral norm equals sigma_{k+1}."""
+    """Top-k truncated SVD; the residual spectral norm equals sigma_{k+1}.
+
+    With a well-separated top-k eigenspace only the k leading rows are
+    polished; the tail rows' norms are not singular values, never returned.
+    """
     A = as_matrix(A)
     t = min(A.shape)
     if not (1 <= k <= t):

@@ -99,16 +99,21 @@ def estimate_abundances(F, A):
 
     G = F.T @ F
     C = F.T @ A
-    W = Y = np.full((k, A.shape[1]), 1.0 / k)
-    t_acc = 1.0
+    W = np.full((k, A.shape[1]), 1.0 / k)
+    Y, buf, t_acc = W.copy(), np.empty_like(W), 1.0
+
+    def gradient_step(Z):  # Z - step * (G @ Z - C), in buf
+        np.subtract(np.matmul(G, Z, out=buf), C, out=buf)
+        return np.subtract(Z, np.multiply(buf, step, out=buf), out=buf)
     for it in range(1, _MAX_FISTA_ITERS + 1):
-        W_new = project_columns_to_simplex(Y - step * (G @ Y - C))
+        W_new = project_columns_to_simplex(gradient_step(Y))
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        Y = W_new + ((t_acc - 1.0) / t_new) * (W_new - W)
+        # Y = W_new + ((t_acc - 1) / t_new) * (W_new - W), in Y's buffer
+        np.add(W_new, np.multiply(np.subtract(W_new, W, out=Y), (t_acc - 1.0) / t_new, out=Y), out=Y)
         W, t_acc = W_new, t_new
         if it % 10 == 0 or it == 1:
-            fp = project_columns_to_simplex(W - step * (G @ W - C))
-            if np.abs(W - fp).max() <= _KKT_TOL:
+            fp = project_columns_to_simplex(gradient_step(W))
+            if np.abs(np.subtract(W, fp, out=fp), out=fp).max() <= _KKT_TOL:
                 break
     else:
         raise NoConvergenceError(f"abundances: KKT stop not met in {_MAX_FISTA_ITERS} steps")

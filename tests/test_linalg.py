@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepnmf import kernels, linalg
 from sepnmf.errors import (
@@ -318,6 +322,85 @@ def test_jacobi_sweep_cap_raises(monkeypatch):
         svd_full(A)
 
 
+@pytest.mark.parametrize("j", [-300, 300])
+def test_jacobi_kernel_orthogonalizes_rows_at_extreme_scales(j):
+    # the rotation test must not overflow (products of squared norms near
+    # 2**1200) or underflow (near 2**-1200) into a false convergence
+    X0 = np.ldexp(_rand(44, 6, 6), j)
+    X, R = X0.copy(), np.eye(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweeps = kernels.svd_jacobi_rows(X, R, 1e-14, 0.0, 60)
+        G = X @ X.T
+    assert 2 <= sweeps < 60
+    n = np.sqrt(np.diag(G))
+    assert np.abs(G - np.diag(np.diag(G))).max() <= 1e-13 * n.max() ** 2
+    assert np.abs(R.T @ X - X0).max() <= 1e-13 * np.abs(X0).max()
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_round_robin_lead_visits_every_leading_pair_once(r):
+    for lead in range(r + 1):
+        rounds = kernels._round_robin(r, lead)
+        assert kernels._round_robin(r, lead) is rounds  # cached
+        pairs = []
+        for I, J in rounds:
+            assert not (I.flags.writeable or J.flags.writeable)
+            assert len(set(I) | set(J)) == 2 * I.size  # a round's pairs are disjoint
+            pairs += zip(I.tolist(), J.tolist())
+        assert sorted(pairs) == [(i, j) for i in range(lead) for j in range(i + 1, r)]
+
+
+def _graded(seed, d, m, sigma):
+    t = min(d, m)
+    U = np.linalg.qr(_rand(seed, d, t))[0]
+    V = np.linalg.qr(_rand(seed + 1, m, t))[0]
+    return (U * sigma) @ V.T
+
+
+# wide, tall, graded (sigma_i from 1 down to 1e-12: the top-k eigenspace
+# stands apart for k <= 4, and larger k take the full sweep) and a noisy
+# separable instance, whose tail is a cluster of near-equal noise values
+_TRUNCATED = {
+    "wide": _rand(61, 12, 90),
+    "tall": _rand(62, 90, 12),
+    "graded": _graded(63, 12, 70, np.logspace(0, -12, 12)),
+    "graded-tall": _graded(64, 70, 12, np.logspace(0, -12, 12)),
+    "noisy": generate_instance(40, 600, 3, 0.3, 104).A,
+}
+
+
+@pytest.mark.parametrize("name", list(_TRUNCATED))
+def test_svd_truncated_matches_full_top_k(name):
+    A = _TRUNCATED[name]
+    f = svd_full(A)
+    for k in (1, 2, 3, 4, 7, min(A.shape) - 1):
+        t = svd_truncated(A, k)
+        assert (np.abs(t.S - f.S[:k]) <= 1e-14 * f.S[:k]).all()
+        # singular vectors move by about eps * sigma_1 / gap (Wedin)
+        gap = np.min(f.S[:k] - f.S[1 : k + 1])
+        sign = np.sign(np.sum(t.U * f.U[:, :k], axis=0))
+        for got, ref in ((t.U, f.U), (t.V, f.V)):
+            assert np.abs(got * sign - ref[:, :k]).max() <= 1e-13 * f.S[0] / gap
+
+
+def test_svd_truncated_tied_sigma_k_runs_the_full_sweep(monkeypatch):
+    # diag(4, 2, 2, 1) padded to 4 x 7: sigma_2 = sigma_3 exactly, so the top-2
+    # eigenspace does not stand apart and every row pair is swept
+    A = np.zeros((4, 7))
+    A[[0, 1, 2, 3], [5, 0, 3, 1]] = [2.0, 4.0, 1.0, 2.0]
+    leads = []
+    kernel = kernels.svd_jacobi_rows
+    monkeypatch.setattr(kernels, "svd_jacobi_rows", lambda *a: leads.append(a[5]) or kernel(*a))
+    for k, lead in ((1, 1), (2, 4), (3, 3)):
+        r = svd_truncated(A, k)
+        assert leads.pop() == lead
+        assert np.array_equal(r.S, [4.0, 2.0, 2.0][:k])
+        assert np.abs(r.U.T @ r.U - np.eye(k)).max() <= 1e-15
+        assert np.abs(r.V.T @ r.V - np.eye(k)).max() <= 1e-15
+        assert np.abs(A @ r.V - r.U * r.S).max() <= 1e-15
+
+
 def test_spectral_norm_near_tie_of_top_two():
     # the noise of this instance has nearly tied sigma_1 and sigma_2, which
     # stalled the former power iteration into NoConvergenceError
@@ -337,3 +420,15 @@ def test_power_of_two_scaling_is_exact(shape):
         for got, ref in ((singular_values(Aj), s0), (svd_truncated(Aj, 3).S, t0)):
             assert (np.abs(np.ldexp(got, -j) - ref) <= 1e-13 * ref).all()
         assert abs(np.ldexp(spectral_norm(Aj), -j) - n0) <= 1e-13 * n0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32), st.integers(1, 40),
+       st.integers(-900, 900))
+def test_power_of_two_scaling_property(d, m, seed, k, j):
+    A = _rand(seed, d, m)
+    k = min(k, d, m)
+    Aj = np.ldexp(A, j)
+    for got, ref in ((singular_values(Aj), singular_values(A)),
+                     (svd_truncated(Aj, k).S, svd_truncated(A, k).S)):
+        assert (np.abs(np.ldexp(got, -j) - ref) <= 1e-13 * ref).all()

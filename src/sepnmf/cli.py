@@ -34,7 +34,8 @@ from .lowrank import APPROX_NAMES, approximate, bound_report
 from .metrics import estimate_abundances, recovery_rate, spectral_angle_distance
 from .reports import ExperimentReport, write_report
 from .rng import RNG_NAME
-from .select import DEFAULT_BOUNDARY_TOL, DEFAULT_Q, SELECTOR_NAMES, Analysis, resolve_q, select
+from .select import (DEFAULT_BOUNDARY_TOL, DEFAULT_EPS, DEFAULT_Q, SELECTOR_NAMES, Analysis,
+                     resolve_q, select)
 from .synth import generate_instance, robust_noise_bound, sigma_min
 
 
@@ -74,7 +75,7 @@ def build_parser():
 
     u = sub.add_parser("unmix", help="endmember extraction + abundance maps")
     u.add_argument("--format", choices=FORMATS, help="matrix file format")
-    u.add_argument("--eps", type=_mvee_eps, default=1e-6, help="ellipsoid tolerance")
+    u.add_argument("--eps", type=_mvee_eps, default=DEFAULT_EPS, help="ellipsoid tolerance")
     u.add_argument("matrix", help="bands x pixels matrix file")
     u.add_argument("-k", type=int, required=True)
     u.add_argument("--method", choices=SELECTOR_NAMES, default="pspa")
@@ -104,7 +105,7 @@ def _add_select_flags(c):
     c.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     c.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for batch suites")
     c.add_argument("--format", choices=FORMATS, help="matrix file format")
-    c.add_argument("--eps", type=_mvee_eps, default=1e-6, help="ellipsoid tolerance")
+    c.add_argument("--eps", type=_mvee_eps, default=DEFAULT_EPS, help="ellipsoid tolerance")
     c.add_argument("matrix", nargs="?", help="matrix file (omit in batch mode)")
     c.add_argument("-k", type=int, required=True)
     c.add_argument("--method", choices=SELECTOR_NAMES, default="spa")

@@ -14,10 +14,10 @@ formed once from the QR's reflectors, for the columns the caller needs
 only. Both factors come out orthonormal to machine precision.
 
 spectral_norm (sigma_max of the short-side Gram matrix), orthonormalize
-(a Householder Q whose R shows full rank) and the symmetric
-eigenproblems behind psd_sqrt and the ellipsoid inverse go to LAPACK
-outright: their answers are read against floors relative to the norm,
-so absolute accuracy suffices there.
+(a Householder Q, rotated by the SVD of its R when that shows rank
+deficiency) and the symmetric eigenproblems behind psd_sqrt and the
+ellipsoid inverse go to LAPACK outright: their answers are read against
+floors relative to the norm, so absolute accuracy suffices there.
 """
 
 from dataclasses import dataclass
@@ -37,7 +37,7 @@ _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 60
 _SAFE_EXP = 100  # inputs with max |entry| within 2**±100 keep their scale
 _SYM_TOL = 1e-10  # relative asymmetry eigh_sym accepts
-_MGS_REL_TOL = 1e-12  # relative pivot below which orthonormalize drops a direction
+_RANK_REL_TOL = 1e-12  # relative singular value below which orthonormalize drops a direction
 
 
 def as_matrix(A, name="A"):
@@ -181,11 +181,11 @@ def orthonormalize(Y):
     """Orthonormal basis Q of range(Y), one column per independent direction.
 
     The Householder Q of Y when the singular values of its k x k R show full
-    rank (sigma_min > _MGS_REL_TOL * sigma_max); R's diagonal does not reveal
-    rank (Kahan's matrix). Otherwise pivoted Gram-Schmidt with
-    reorthogonalization, dropping a direction when its pivot (residual norm)
-    falls below _MGS_REL_TOL = 1e-12 times the first pivot. Q has rank(Y)
-    columns and QQ^T Y = Y up to roundoff.
+    rank (sigma_min > _RANK_REL_TOL * sigma_max); R's diagonal does not reveal
+    rank (Kahan's matrix). Otherwise Q @ U_R[:, :rank], from the SVD
+    R = U_R S V^T, with rank the number of singular values above
+    _RANK_REL_TOL = 1e-12 times the largest. Q has rank(Y) columns and
+    QQ^T Y = Y up to roundoff.
     """
     Y = as_matrix(Y, "Y")
     d, k = Y.shape
@@ -193,15 +193,13 @@ def orthonormalize(Y):
         raise BadRankError(f"Y must be tall (d >= k), got {Y.shape}")
     Q, T = np.linalg.qr(Y)
     sv = np.linalg.svd(T, compute_uv=False)
-    if sv[-1] > _MGS_REL_TOL * sv[0]:
+    if sv[-1] > _RANK_REL_TOL * sv[0]:
         return Q
-    W = Y.T.copy()  # the kernel orthogonalizes rows in place; never alias Y
-    order = np.zeros(k, np.int64)
-    rank = kernels.mgs_rows(W, _MGS_REL_TOL, order)
+    U, sv, _ = np.linalg.svd(T)
+    rank = int(np.count_nonzero(sv > _RANK_REL_TOL * sv[0]))
     if rank == 0:
         raise BadRankError("Y has no nonzero column")
-    keep = np.sort(order[:rank])
-    return np.ascontiguousarray(W[keep].T)
+    return Q @ U[:, :rank]
 
 
 def psd_sqrt(L):

@@ -12,8 +12,8 @@ The engines differ only in their seed:
         optimal rank-k reference for the other two.
 
 spa_rank_approx and rand_subspace_approx are shorthands for the first
-two. The bound diagnostics evaluate every quantity of the
-approximation-error analysis on a concrete spa run using the full SVD.
+two. The bound diagnostics (bound_report) evaluate every quantity of
+the approximation-error analysis on a concrete spa run.
 """
 
 from dataclasses import dataclass, field
@@ -44,8 +44,6 @@ class RankKApprox:
     q: int
     error2: float
     seed_indices: np.ndarray | None = None
-    oversample: int = 0
-    seed: int | None = None
     rank_collapsed: bool = False
     timings: dict = field(default_factory=dict)
 
@@ -129,15 +127,12 @@ def approximate(A, k, method, q, oversample=0, seed=0):
             B = Q @ (Q.T @ A)
     with stage(timings, "error_norm"):
         err = spectral_norm(A - B)
-    rand = method == "rand"
     return RankKApprox(
         Q=Q,
         B=B,
         q=q,
         error2=err,
         seed_indices=idx,
-        oversample=oversample if rand else 0,
-        seed=seed if rand else None,
         rank_collapsed=Q.shape[1] < k,
         timings=timings,
     )
@@ -156,12 +151,15 @@ def rand_subspace_approx(A, k, q, oversample=0, seed=0):
 def bound_report(A, approx):
     """Evaluate the error-bound quantities for a seeded-column run.
 
-    Everything is computed from the full SVD of A: the singular values
-    around the split, sigma_min(A(I)), the margin rho, the extreme singular
-    values of the blocks of G = U^T A(I), the two bound values, the
-    quadratic bound right-hand side, the achieved error and the numerical
-    rank of B. When G_1 is numerically singular the fields that depend on
-    H = Z_2 Z_1^{-1} are left unset and singular_z1 is flagged.
+    From the full SVD of A: the singular values around the split,
+    sigma_min(A(I)), the margin rho, the extreme singular values of the
+    blocks of G = U^T A(I), the two bound values, the quadratic bound
+    right-hand side and the numerical rank of B. Only A, A(I), G_1 and Q^T A
+    need the Jacobi SVD (relative accuracy or the whole spectrum); sigma_max
+    of G_2 and of H S_1 are spectral norms. The achieved error is
+    approx.error2, so A must be the matrix approx was built from. When G_1
+    is numerically singular the fields that depend on H = Z_2 Z_1^{-1} are
+    left unset and singular_z1 is flagged.
     """
     A = as_matrix(A)
     if approx.seed_indices is None:
@@ -188,7 +186,7 @@ def bound_report(A, approx):
     r1 = svd_full(G1)
     s_g1 = r1.S
     g1_min = float(s_g1[-1])
-    g2_max = float(singular_values(G2)[0]) if G2.shape[0] else 0.0
+    g2_max = spectral_norm(G2) if G2.shape[0] else 0.0
 
     if sigma_k1 == 0.0:
         err_bound = 0.0
@@ -220,10 +218,9 @@ def bound_report(A, approx):
                 0.0,
             )
         hs1 = G21 * scale
-        hs1_norm = float(singular_values(hs1)[0]) if hs1.size else 0.0
+        hs1_norm = spectral_norm(hs1) if hs1.size else 0.0
         quadratic_rhs = hs1_norm**2 + sigma_k1**2
 
-    achieved = float(singular_values(A - approx.B)[0])
     s_b = singular_values(approx.Q.T @ A)  # B = Q Q^T A has the same nonzero sigmas
     rank_b = int(np.sum(s_b > _RANK_B_REL * s_b[0])) if s_b[0] > 0 else 0
 
@@ -237,7 +234,7 @@ def bound_report(A, approx):
         error_bound=float(err_bound),
         margin_bound=float(mrg_bound),
         quadratic_rhs=quadratic_rhs,
-        achieved_error=achieved,
+        achieved_error=approx.error2,
         rank_b=rank_b,
         q=q,
         singular_z1=singular_z1,

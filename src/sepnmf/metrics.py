@@ -73,10 +73,9 @@ def project_rows_to_simplex(V):
 
 @dataclass
 class AbundanceResult:
-    """Per-pixel simplex weights (columns) and residual norms."""
+    """Per-pixel simplex weights (columns) and the gradient steps taken."""
 
     W: np.ndarray
-    residuals: np.ndarray
     iterations: int = 0
 
 
@@ -117,5 +116,4 @@ def estimate_abundances(F, A):
                 break
     else:
         raise NoConvergenceError(f"abundances: KKT stop not met in {_MAX_FISTA_ITERS} steps")
-    residuals = np.linalg.norm(F @ W - A, axis=0)
-    return AbundanceResult(W=W, residuals=residuals, iterations=it)
+    return AbundanceResult(W=W, iterations=it)

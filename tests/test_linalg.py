@@ -176,6 +176,35 @@ class TestOrthonormalize:
         assert Q.shape == (n, rank)
         assert np.abs(Q.T @ Q - np.eye(rank)).max() <= 1e-12
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(2, 30),
+        k=st.integers(2, 12),
+        r=st.integers(1, 11),
+        kind=st.sampled_from(("product", "duplicate", "zero")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_deficient_input_keeps_its_rank(self, d, k, r, kind, seed):
+        # Y of known rank r < k: the SVD of R gives r columns spanning Y,
+        # on the Householder path alone (the row Gram-Schmidt kernel is unused)
+        k = min(k, d)
+        r = min(r, k - 1)
+        rng = SplitMix64(seed)
+        if kind == "product":
+            Y = rng.normal_matrix(d, r) @ rng.normal_matrix(r, k)
+        else:
+            Y = np.zeros((d, k))
+            Y[:, :r] = rng.normal_matrix(d, r)
+            if kind == "duplicate":
+                Y[:, r:] = Y[:, np.arange(r, k) % r]
+            Y = Y[:, np.argsort(rng.uniform(k))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "mgs_rows", lambda *a: pytest.fail("mgs_rows called"))
+            Q = orthonormalize(Y)
+        assert Q.shape == (d, r)
+        assert np.abs(Q.T @ Q - np.eye(r)).max() <= 1e-12
+        assert spectral_norm(Q @ (Q.T @ Y) - Y) <= 1e-10 * spectral_norm(Y)
+
     def test_idempotent_span(self):
         Y = _rand(12, 10, 5)
         Q1 = orthonormalize(Y)

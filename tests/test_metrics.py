@@ -168,7 +168,7 @@ class TestAbundances:
         F = SplitMix64(10).uniform(20).reshape(5, 4)
         a = F @ np.array([0.25, 0.25, 0.25, 0.25])
         res = estimate_abundances(F, a.reshape(-1, 1))
-        assert res.residuals[0] <= 1e-6
+        assert np.linalg.norm(F @ res.W[:, 0] - a) <= 1e-6
 
     def test_iteration_cap_raises(self, monkeypatch):
         r = SplitMix64(7)

@@ -39,6 +39,9 @@ CORPUS = (
                       "--seed", "7", "-o", "."]),
         ("cube", ["synth", "-d", "12", "-m", "48", "-k", "3", "--delta", "0.02", "--seed", "9",
                   "--format", "bin", "-o", "."]),
+        # zero noise: A has rank 4 exactly
+        ("instance-rank4", ["synth", "-d", "20", "-m", "200", "-k", "4", "--seed", "7",
+                            "-o", "."]),
     ]
     + [
         (f"select-{method}", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
@@ -60,6 +63,12 @@ CORPUS = (
                               "--truth", os.path.join(INSTANCE, "meta.json"),
                               "--report", "report.json"])
         for method in ("spa", "rand", "svd")
+    ]
+    + [
+        # a rank-6 sketch of a rank-4 matrix: orthonormalize drops 2 directions
+        ("approx-rand-rank-deficient", ["approx", os.path.join("..", "instance-rank4", "A.mtx"),
+                                        "-k", "6", "--q", "2", "--method", "rand",
+                                        "--report", "report.json"]),
     ]
     + [
         ("unmix", ["unmix", os.path.join(CUBE, "A.bin"), "-k", "3", "--method", "erspa",

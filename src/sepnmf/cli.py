@@ -492,7 +492,7 @@ def cmd_bench(args):
     print(summary, end="")
     if ok_rows == 0:
         return 4
-    return 0
+    return 3 if failures else 0
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ L positive definite, through the dual D-optimal design: ascend
 log det M(u) over the weight simplex (Wolfe-Atwood coordinate steps with
 away steps) on a working set that starts as the 10k largest-norm points.
 One loop alternates ascent bursts of at most _REFRESH_EVERY steps with a
-refresh: M(u)^{-1} is recomputed, the ellipsoid is checked on all points,
-and up to k of the worst violators outside the working set join it. At
-the solution L = M(u)^{-1} / k and the Kiefer-Wolfowitz gap certifies
-log det(L) >= log det(L_opt) - k log(1+eps).
+refresh that inverts M(u) on the working set once. L = M(u)^{-1} / k
+gives each point's violation p^T L p - 1; these serve the certificate
+and admit up to k of the worst violators outside the working set, and
+the same inverse starts the next burst when none joins. The
+Kiefer-Wolfowitz gap certifies log det(L) >= log det(L_opt) - k log(1+eps).
 """
 
 from dataclasses import dataclass
@@ -44,6 +45,10 @@ def _inv_psd(M):
     return (V / lam) @ V.T
 
 
+def _inv_moment(Pw, u):
+    return _inv_psd((Pw * u[:, None]).T @ Pw)
+
+
 def solve_mvee(P, eps=DEFAULT_EPS):
     """Ellipsoid for the columns of the k x m point matrix P.
 
@@ -71,54 +76,39 @@ def solve_mvee(P, eps=DEFAULT_EPS):
     u = np.full(ws.size, 1.0 / ws.size)
     u = u / u.sum()  # as after each admission: n terms of 1/n need not sum to 1
     u_full = np.zeros(m)
+    minv = _inv_moment(Pw, u)
     iters = 0
     # every pass takes ascent steps or grows the working set, so the step
     # budget bounds the loop
     while iters < MAX_INNER_ITERS:
-        M = (Pw * u[:, None]).T @ Pw
-        minv = np.ascontiguousarray(_inv_psd(M))
         kappa = np.einsum("ij,jl,il->i", Pw, minv, Pw)
         status, done = kernels.mvee_ascent(
             Pw, u, minv, kappa, eps, MAX_INNER_ITERS - iters, _REFRESH_EVERY
         )
         iters += done
+        minv = _inv_moment(Pw, u)  # the burst updated minv in place; start afresh
+        L = minv / k
+        L = 0.5 * (L + L.T)
+        viol = np.einsum("ij,jl,il->i", pts, L, pts) - 1.0
         u_full[ws] = u
-        ell = _finalize(pts, u_full, k, iters)
+        support = np.flatnonzero(u_full > _SUPPORT_TOL)
+        ell = Ellipsoid(L, u_full, support, float(viol.max()), iters)
         if status == 0 and ell.max_violation <= eps:
             return ell
         # admit the worst violators outside the working set, at most k per pass
-        kap = k * (1.0 + _violations(pts, ell.L))
-        viol = np.setdiff1d(np.flatnonzero(kap > k * (1.0 + eps)), ws)
-        if viol.size:
-            ws = np.union1d(ws, viol[np.argsort(-kap[viol], kind="stable")][:k])
+        out = np.setdiff1d(np.flatnonzero(viol > eps), ws)
+        if out.size:
+            ws = np.union1d(ws, out[np.argsort(-viol[out], kind="stable")][:k])
             Pw = np.ascontiguousarray(pts[ws])
             u = np.maximum(u_full[ws], 1e-12)
             u = u / u.sum()
+            minv = _inv_moment(Pw, u)
         elif status == 0:
             return ell
     raise NoConvergenceError(
         f"ellipsoid ascent hit {MAX_INNER_ITERS} iterations "
         f"(violation {ell.max_violation:.3e})",
         ellipsoid=ell,
-    )
-
-
-def _violations(pts, L):
-    return np.einsum("ij,jl,il->i", pts, L, pts) - 1.0
-
-
-def _finalize(pts, u_full, k, iters):
-    M = (pts * u_full[:, None]).T @ pts
-    L = _inv_psd(M) / k
-    L = 0.5 * (L + L.T)
-    viol = float(_violations(pts, L).max())
-    support = np.flatnonzero(u_full > _SUPPORT_TOL)
-    return Ellipsoid(
-        L=L,
-        weights=u_full,
-        support=support,
-        max_violation=viol,
-        iterations=iters,
     )
 
 

@@ -27,6 +27,8 @@ ellipsoid, as do mpspa and merspa at equal q. `select(A, k, method)` runs
 one method on its own Analysis; the `*_select` functions are shorthands.
 
 Indices refer to columns of the original matrix and do not depend on its scale.
+Only spaspa's index set is reproducible, not its order: whitening maps the
+k seed columns to exactly unit norm, so roundoff orders them.
 """
 
 from dataclasses import dataclass, field

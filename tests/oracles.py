@@ -29,10 +29,13 @@ def naive_spa(A, k):
 
 
 def khachiyan_logdet(P, eps=1e-10, max_iter=500_000):
-    """High-precision dual ascent on the full point set; returns log det L.
+    """High-precision dual ascent on the full point set.
 
     Frank-Wolfe steps with away steps, periodic from-scratch refresh of the
-    inverse to keep the incremental updates honest.
+    inverse to keep the incremental updates honest. Returns (log det L, L,
+    u, gap): gap = k log(max_i kappa_i / k) is the Kiefer-Wolfowitz bound on
+    log det L_opt - log det L at the final weights, computed afresh, so a
+    run that stops at max_iter still says how far from optimal it is.
     """
     pts = np.array(P.T, dtype=float)
     mw, k = pts.shape
@@ -69,11 +72,11 @@ def khachiyan_logdet(P, eps=1e-10, max_iter=500_000):
         minv = minv / c - gamma * np.outer(mp, mp)
         if (it + 1) % 500 == 0:
             minv, kappa = refresh()
-    M = (pts * u[:, None]).T @ pts
-    L = np.linalg.inv(M) / k
+    minv, kappa = refresh()
+    L = minv / k
     sign, logdet = np.linalg.slogdet(L)
     assert sign > 0
-    return logdet, L, u
+    return logdet, L, u, k * np.log(kappa.max() / k)
 
 
 def simplex_lsq_oracle(F, a):

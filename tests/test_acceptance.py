@@ -247,11 +247,12 @@ def test_c07_ellipsoid_certificate_suite():
         feas = float(ellipsoid_support(e, P).max()) <= 1.0 + 1e-6
         Mu = (P * e.weights) @ P.T
         dual = spectral_norm(np.linalg.inv(Mu) / k - e.L) <= 1e-8 * spectral_norm(e.L)
-        logdet_oracle, _, _ = khachiyan_logdet(P, 1e-10)
+        logdet_oracle, _, _, gap = khachiyan_logdet(P, 1e-10)
         sign, logdet = np.linalg.slogdet(e.L)
         opt = sign > 0 and abs(logdet - logdet_oracle) <= k * np.log(1.0 + 1e-6) + 1e-9
-        if not (feas and dual and opt):
-            bad.append((i, k, m, feas, dual, opt))
+        oracle_certified = gap <= 1e-6
+        if not (feas and dual and opt and oracle_certified):
+            bad.append((i, k, m, feas, dual, opt, oracle_certified))
     _verdict(7, "ellipsoid certificate suite", not bad, f"{len(bad)}/100 bad {bad[:3]}")
     _budget(7, "ellipsoid certificate suite", started, 3)
 

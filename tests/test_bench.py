@@ -3,8 +3,10 @@ import os
 
 import numpy as np
 
+from sepnmf import bench
 from sepnmf.bench import _fig2_worker, fig1_suite, fig2_suite, run_suites, tab2_suite
-from sepnmf.cli import _method_list
+from sepnmf.cli import _method_list, main
+from sepnmf.errors import SepnmfError
 from sepnmf.select import DEFAULT_BOUNDARY_TOL, DEFAULT_EPS
 
 WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
@@ -68,3 +70,20 @@ def test_run_suites_summary(tmp_path):
     assert ok_rows > 0
     assert not failures
     assert "fig1" in summary
+
+
+def test_bench_all_exits_3_when_one_suite_fails(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise SepnmfError("fig2 broke")
+
+    monkeypatch.setitem(bench.SUITES, "fig2", boom)
+    assert main(["bench", "all", "--scale", "tiny", "--out", str(tmp_path)]) == 3
+    summary = (tmp_path / "summary.txt").read_text()
+    lines = summary.splitlines()
+    assert lines[2] == "fig2: FAILED (fig2 broke)"
+    assert " rows in " in lines[1] and " rows in " in lines[3]
+    assert summary in capsys.readouterr().out
+    # every suite failing still means no rows
+    for name in ("fig1", "tab2"):
+        monkeypatch.setitem(bench.SUITES, name, boom)
+    assert main(["bench", "all", "--scale", "tiny", "--out", str(tmp_path)]) == 4

@@ -43,7 +43,8 @@ class TestCertificates:
             assert vals.max() <= 1.0 + 1e-6
             Mu = (P * e.weights) @ P.T
             assert spectral_norm(np.linalg.inv(Mu) / k - e.L) <= 1e-8 * spectral_norm(e.L)
-            logdet_oracle, _, _ = khachiyan_logdet(P, 1e-10)
+            logdet_oracle, _, _, gap = khachiyan_logdet(P, 1e-10)
+            assert gap <= 1e-6
             sign, logdet = np.linalg.slogdet(e.L)
             assert sign > 0
             assert abs(logdet - logdet_oracle) <= k * np.log(1.0 + 1e-6) + 1e-9
@@ -91,11 +92,45 @@ def test_degenerate_zero_noise_design_grows_working_set_early():
     P = f.S[:, None] * f.V.T
     e = solve_mvee(P, 1e-6)
     assert e.max_violation <= 1e-6
-    logdet_oracle, _, _ = khachiyan_logdet(P, 1e-10)
+    logdet_oracle, _, _, gap = khachiyan_logdet(P, 1e-10)
+    assert gap <= 1e-6
     sign, logdet = np.linalg.slogdet(e.L)
     assert sign > 0
     assert abs(logdet - logdet_oracle) <= 3 * np.log(1.0 + 1e-6) + 1e-9
     assert e.iterations < 5_000
+
+
+@pytest.mark.parametrize("seed, bursts, admissions", [(10_040, 3, 0), (10_081, 3, 2)])
+def test_each_pass_inverts_the_moment_matrix_once(monkeypatch, seed, bursts, admissions):
+    # c01's zero-noise 10 x 80 x 3 designs in SVD coordinates; M(u) is inverted
+    # for the starting state, after every burst and after every admission
+    import sepnmf.mvee as mv
+
+    A = generate_instance(10, 80, 3, 0.0, seed=seed).A
+    f = svd_truncated(A, 3)
+    P = f.S[:, None] * f.V.T
+    inversions, working_sets = [0], []
+    inv_psd, ascent = mv._inv_psd, mv.kernels.mvee_ascent
+
+    def counted_inv_psd(M):
+        inversions[0] += 1
+        return inv_psd(M)
+
+    def recorded_ascent(Pw, u, *args):
+        working_sets.append((Pw, u))
+        return ascent(Pw, u, *args)
+
+    monkeypatch.setattr(mv, "_inv_psd", counted_inv_psd)
+    monkeypatch.setattr(mv.kernels, "mvee_ascent", recorded_ascent)
+    e = solve_mvee(P, 1e-6)
+    grown = sum(a[0].shape != b[0].shape for a, b in zip(working_sets, working_sets[1:]))
+    assert (len(working_sets), grown) == (bursts, admissions)
+    assert inversions[0] == 1 + bursts + admissions
+    Pw, u = working_sets[-1]
+    minv = np.linalg.inv((Pw * u[:, None]).T @ Pw)
+    want = 0.5 * (minv + minv.T) / 3
+    assert np.abs(e.L - want).max() <= 1e-14 * np.abs(want).max()
+
 
 class TestInvariances:
     def test_scale_covariance(self):

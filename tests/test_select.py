@@ -325,3 +325,24 @@ def test_picks_do_not_depend_on_power_of_two_scaling(i, method, j):
         warnings.simplefilter("error")
         got = select(np.ldexp(A, j), k, method).indices
     assert got.tobytes() == want[method].tobytes()
+
+
+# the select-grid benchmark's eight methods, as (name, q)
+GRID_METHODS = (("spa", None), ("pspa", None), ("mpspa", 1), ("mpspa", 15), ("erspa", None),
+                ("merspa", 15), ("prewhiten", None), ("spaspa", None))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([(10, 80, 3), (20, 150, 4), (30, 400, 5)]), st.integers(1, 10_000),
+       st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_picked_set_commutes_with_column_permutation(shape, seed, t, perm_seed):
+    # noise up to sigma_min(F); column j of A[:, perm] is column perm[j] of A
+    d, m, k = shape
+    base = generate_instance(d, m, k, 1.0, seed)
+    A = rescale_noise(base, t * sigma_min(base.F)).A
+    perm = SplitMix64(perm_seed).permutation(m)
+    plain, permuted = Analysis(A, k), Analysis(A[:, perm], k)
+    for method, q in GRID_METHODS:
+        want = sorted(plain.select(method, q).indices.tolist())
+        got = sorted(perm[permuted.select(method, q).indices].tolist())
+        assert got == want, (method, q)

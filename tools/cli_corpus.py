@@ -32,6 +32,19 @@ GRID = ["-k", "4", "--instances", "2", "-d", "20", "-m", "150", "--deltas", "0,0
         "--seed", "5", "--methods",
         "spa,pspa,mpspa:1,mpspa:15,erspa,merspa:15,prewhiten,spaspa", "--out", "grid.csv"]
 
+
+def _design_cases(seed):
+    """synth a zero-noise 10 x 80 x 3 design, then select on it by pspa and erspa."""
+    inst = os.path.join("..", f"instance-{seed}")
+    return [(f"instance-{seed}", ["synth", "-d", "10", "-m", "80", "-k", "3", "--seed", str(seed),
+                                  "-o", "."])] + [
+        (f"select-{method}-{seed}", ["select", os.path.join(inst, "A.mtx"), "-k", "3",
+                                     "--method", method, "--truth", os.path.join(inst, "meta.json"),
+                                     "--report", "report.json"])
+        for method in ("pspa", "erspa")
+    ]
+
+
 # (directory name, CLI arguments); paths are relative to the command's directory
 CORPUS = (
     [
@@ -43,6 +56,10 @@ CORPUS = (
         ("instance-rank4", ["synth", "-d", "20", "-m", "200", "-k", "4", "--seed", "7",
                             "-o", "."]),
     ]
+    # the ellipsoid solve admits points into its working set on 10081 and
+    # only refreshes it on 10040
+    + _design_cases(10081)
+    + _design_cases(10040)
     + [
         (f"select-{method}", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
                               "--method", method, "--truth", os.path.join(INSTANCE, "meta.json"),

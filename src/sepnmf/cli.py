@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, bench
-from .errors import BadShapeError, MissingShapeError, SepnmfError
+from .errors import BadShapeError, SepnmfError
 from .io import (
     FORMATS,
     open_input,
@@ -256,12 +256,18 @@ def cmd_synth(args):
     print(f"wrote {args.out}/{matrix_file} and {args.out}/meta.json")
 
 
-def _load_truth(path, A=None):
+def _load_truth(path, A):
+    """(meta, 0-based true indices) of a --truth file: a JSON object whose
+    true_indices_1based lists distinct integers in 1..m, else BadShapeError."""
     meta = read_json(path)
-    truth = np.asarray(meta["true_indices_1based"], dtype=np.int64) - 1
-    if A is not None and "A_sha256" in meta and sha256_of(A) != meta["A_sha256"]:
+    m = A.shape[1]
+    truth = meta.get("true_indices_1based") if isinstance(meta, dict) else None
+    if not (isinstance(truth, list) and all(type(i) is int and 1 <= i <= m for i in truth)
+            and len(set(truth)) == len(truth)):
+        raise BadShapeError(f"{path}: true_indices_1based must list distinct integers in 1..{m}")
+    if "A_sha256" in meta and sha256_of(A) != meta["A_sha256"]:
         raise SepnmfError(f"{path} does not describe this matrix (digest mismatch)")
-    return meta, truth
+    return meta, np.array(truth, dtype=np.int64) - 1
 
 
 def cmd_approx(args):
@@ -391,8 +397,8 @@ def _read_library(path, bands):
     """Material names and the bands x materials spectra of a library CSV
     (header = names); anything else raises BadShapeError naming the file."""
     with open_input(path) as fh:
-        names = [h.strip() for h in fh.readline().strip().split(",")]
         try:
+            names = [h.strip() for h in fh.readline().strip().split(",")]
             lib = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise BadShapeError(f"{path}: malformed library CSV ({exc})") from None
@@ -413,10 +419,13 @@ def cmd_unmix(args):
     if not isinstance(meta, dict):
         raise BadShapeError(f"{meta_path}: sidecar must be a JSON object")
     height, width = meta.get("height"), meta.get("width")
+    for name, value in (("height", height), ("width", width)):
+        if value is not None and (type(value) is not int or value < 1):
+            raise BadShapeError(f"{meta_path}: {name} must be a positive integer, got {value!r}")
     if height and width and height * width != A.shape[1]:
         raise SepnmfError(f"height*width = {height * width} != {A.shape[1]} pixels")
     if args.rasters and not (height and width):
-        raise MissingShapeError("rasters requested but sidecar has no height/width")
+        raise BadShapeError("rasters requested but sidecar has no height/width")
     if args.drop_bands:
         A = np.ascontiguousarray(A[_kept_bands(args.drop_bands, A.shape[0])])
     if args.library:

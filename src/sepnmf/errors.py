@@ -26,10 +26,6 @@ class InputFileError(SepnmfError):
     """An input file is missing or cannot be opened."""
 
 
-class ShapeMismatchError(SepnmfError):
-    """Two operands that must share a shape do not."""
-
-
 class DimensionMismatchError(SepnmfError):
     """Operand dimensions do not agree."""
 
@@ -76,6 +72,3 @@ class RankDeficientBasisError(SepnmfError):
 class DegenerateBasisError(SepnmfError):
     """Could not draw a full-rank basis within the retry budget."""
 
-
-class MissingShapeError(SepnmfError):
-    """Raster output requested but no image height/width metadata present."""

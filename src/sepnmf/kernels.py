@@ -2,14 +2,17 @@
 Gram-Schmidt, the successive-projection selection loop, and the
 ellipsoid dual-ascent loop.
 
-All loops operate on rows of C-ordered arrays so every inner np.dot sees
-contiguous memory.
+Each kernel returns its result and raises the package's typed errors
+itself. All loops operate on rows of C-ordered arrays so every inner
+np.dot sees contiguous memory.
 """
 
 import functools
 import math
 
 import numpy as np
+
+from .errors import DegenerateInputError, NoConvergenceError
 
 
 @functools.lru_cache(maxsize=128)
@@ -36,7 +39,8 @@ def svd_jacobi_rows(X, R, tol, floor2, max_sweeps, lead=None):
     # squared norm is at or below floor2 count as numerically zero and are
     # left alone. A sweep visits every pair (with lead, each touching one of
     # the first lead rows) once, in round-robin rounds of disjoint pairs.
-    # Returns the number of sweeps used; a sweep with no rotations converges.
+    # Returns the number of sweeps used; a sweep with no rotations converges,
+    # and NoConvergenceError is raised when the last allowed sweep still rotated.
     n = X.shape[1]
     XR = np.concatenate([X, R], axis=1)  # one gather/scatter rotates both
     rounds = _round_robin(X.shape[0], lead)
@@ -70,6 +74,8 @@ def svd_jacobi_rows(X, R, tol, floor2, max_sweeps, lead=None):
         sweeps += 1
         if rotated == 0:
             break
+    else:
+        raise NoConvergenceError(f"Jacobi SVD: rotations left after {max_sweeps} sweeps")
     X[:] = XR[:, :n]
     R[:] = XR[:, n:]
     return sweeps
@@ -135,19 +141,20 @@ def _residual_sq(A, U):
     return np.einsum("ij,ij->j", Rm, Rm)
 
 
-def spa_core(A, k, norm_floor, idx):
+def spa_core(A, k, norm_floor):
     # Greedy max-norm column picks with the incremental squared-norm
     # downdate sq[j] -= (u . a_j)^2, u the unit residual of the pivot.
     # Ties at the argmax go to the smallest column index. The downdate
     # cancels to noise once residuals fall below ~1e-8 of their column
     # norms, so a round that finds no residual above the floor recomputes
-    # the norms exactly and retakes its pick before it gives up. Returns
-    # (rounds_completed, status); status 1 = degenerate residuals.
+    # the norms exactly and retakes its pick before it gives up. Returns the
+    # k picks in order; raises DegenerateInputError when residuals run out.
     d, m = A.shape
     sq = np.zeros(m)
     for i in range(d):
         sq += A[i] * A[i]
     U = np.empty((k, d))
+    idx = np.zeros(k, np.int64)
     floor2 = norm_floor * norm_floor
     for r in range(k):
         for exact in (False, True):
@@ -164,20 +171,20 @@ def spa_core(A, k, norm_floor, idx):
             if nv > norm_floor:
                 break
         else:
-            return r, 1
+            raise DegenerateInputError(f"residual norms exhausted after {r} of {k} rounds")
         v /= nv
         U[r] = v
         dots = np.dot(v, A)
         sq = np.maximum(sq - dots * dots, 0.0)
         idx[r] = j
-    return k, 0
+    return idx
 
 
-def mvee_ascent(P, u, minv, kappa, eps, max_iter, refresh_every):
+def mvee_ascent(P, u, minv, kappa, eps, max_iter):
     # Dual D-optimal-design ascent with Wolfe away steps over the points in
     # the rows of P. u, minv (= M(u)^-1) and kappa (= p_i^T minv p_i) are
     # updated in place via rank-one identities. Returns (status, iters):
-    # status 0 converged, 1 refresh requested, 2 iteration budget spent.
+    # status 0 converged, 1 after max_iter steps without convergence.
     mw, kk = P.shape
     kf = float(kk)
     hi = kf * (1.0 + eps)
@@ -217,6 +224,4 @@ def mvee_ascent(P, u, minv, kappa, eps, max_iter, refresh_every):
         kappa[:] = kappa / c - gamma * (w * w)
         minv[:, :] = minv / c - gamma * (mp.reshape(kk, 1) * mp.reshape(1, kk))
         iters += 1
-        if iters % refresh_every == 0:
-            return 1, iters
-    return 2, iters
+    return 1, iters

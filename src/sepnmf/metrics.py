@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     NoConvergenceError,
     RankDeficientBasisError,
-    ShapeMismatchError,
     SizeMismatchError,
     ZeroVectorError,
 )
@@ -90,7 +90,7 @@ def estimate_abundances(F, A):
     A = as_matrix(A)
     d, k = F.shape
     if A.shape[0] != d:
-        raise ShapeMismatchError(f"F has {d} rows but A has {A.shape[0]}")
+        raise DimensionMismatchError(f"F has {d} rows but A has {A.shape[0]}")
     s = singular_values(F)
     if s[-1] <= 1e-12 * s[0]:
         raise RankDeficientBasisError("basis is numerically rank deficient")

@@ -83,7 +83,7 @@ def solve_mvee(P, eps=DEFAULT_EPS):
     while iters < MAX_INNER_ITERS:
         kappa = np.einsum("ij,jl,il->i", Pw, minv, Pw)
         status, done = kernels.mvee_ascent(
-            Pw, u, minv, kappa, eps, MAX_INNER_ITERS - iters, _REFRESH_EVERY
+            Pw, u, minv, kappa, eps, min(_REFRESH_EVERY, MAX_INNER_ITERS - iters)
         )
         iters += done
         minv = _inv_moment(Pw, u)  # the burst updated minv in place; start afresh
@@ -93,8 +93,6 @@ def solve_mvee(P, eps=DEFAULT_EPS):
         u_full[ws] = u
         support = np.flatnonzero(u_full > _SUPPORT_TOL)
         ell = Ellipsoid(L, u_full, support, float(viol.max()), iters)
-        if status == 0 and ell.max_violation <= eps:
-            return ell
         # admit the worst violators outside the working set, at most k per pass
         out = np.setdiff1d(np.flatnonzero(viol > eps), ws)
         if out.size:

@@ -11,7 +11,7 @@ recomputes them exactly before it declares the input degenerate.
 import numpy as np
 
 from . import kernels
-from .errors import BadRankError, DegenerateInputError
+from .errors import BadRankError
 from .linalg import as_matrix, pow2_scaled
 
 REL_DEGENERATE_TOL = 1e-12
@@ -29,11 +29,5 @@ def spa_select(A, k):
     if not (1 <= k <= min(d, m)):
         raise BadRankError(f"k must satisfy 1 <= k <= {min(d, m)}, got {k}")
     floor = REL_DEGENERATE_TOL * float(np.linalg.norm(A))
-    idx = np.zeros(k, np.int64)
-    rounds, status = kernels.spa_core(A, k, floor, idx)
-    if status != 0:
-        raise DegenerateInputError(
-            f"residual norms exhausted after {rounds} of {k} rounds"
-        )
-    return idx
+    return kernels.spa_core(A, k, floor)
 

@@ -88,6 +88,16 @@ class TestApprox:
         assert rep["bound_fields"]["rank_b"] == 4
         assert rep["bound_fields"]["hypothesis_satisfied"] in (True, False)
 
+    def test_bounds_truth_without_indices_exits_3(self, instance_dir, tmp_path):
+        meta = read_json(str(instance_dir / "meta.json"))
+        del meta["true_indices_1based"]
+        truth = str(tmp_path / "noidx.json")
+        write_json(truth, meta)
+        r = run_cli("approx", str(instance_dir / "A.mtx"), "-k", "4", "--bounds",
+                    "--truth", truth, "--report", str(tmp_path / "rep.json"))
+        assert r.returncode == 3
+        assert "noidx.json" in r.stderr and "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("method", ["rand", "svd"])
     def test_bounds_note_for_non_spa_methods(self, instance_dir, tmp_path, method):
         rep_path = str(tmp_path / "rep.json")
@@ -252,16 +262,22 @@ class TestSelect:
 
     @pytest.mark.parametrize("matrix, truth", [
         pytest.param("nope.mtx", None, id="missing-matrix"),
-        pytest.param(None, "bad.json", id="malformed-truth"),
+        pytest.param(None, "not json", id="malformed-truth"),
+        pytest.param(None, "{}", id="truth-without-indices"),
+        pytest.param(None, "[1, 2]", id="truth-not-an-object"),
+        pytest.param(None, '{"true_indices_1based": ["a"]}', id="truth-not-integers"),
+        pytest.param(None, '{"true_indices_1based": [1, 2, true, 4]}', id="truth-boolean"),
+        pytest.param(None, '{"true_indices_1based": [1, 2, 2, 4]}', id="truth-repeated"),
+        pytest.param(None, '{"true_indices_1based": [1, 2, 3, 400]}', id="truth-out-of-range"),
     ])
     def test_unreadable_input_exits_3(self, instance_dir, tmp_path, matrix, truth):
-        (tmp_path / "bad.json").write_text("not json")
         args = [str(tmp_path / matrix) if matrix else str(instance_dir / "A.mtx"), "-k", "4"]
         if truth:
-            args += ["--truth", str(tmp_path / truth)]
+            (tmp_path / "bad.json").write_text(truth)
+            args += ["--truth", str(tmp_path / "bad.json")]
         r = run_cli("select", *args)
         assert r.returncode == 3
-        assert (matrix or truth) in r.stderr and "Traceback" not in r.stderr
+        assert (matrix or "bad.json") in r.stderr and "Traceback" not in r.stderr
 
     def test_mismatched_truth_rejected(self, instance_dir, tmp_path):
         other = tmp_path / "other"
@@ -339,16 +355,17 @@ class TestUnmix:
         assert "invalid choice" in r.stderr and "Traceback" not in r.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("rows", [
-        pytest.param("1,2,3\n4,5\n", id="ragged"),
-        pytest.param("1,2,x\n", id="non-numeric"),
-        pytest.param("1,2\n" * 12, id="fewer-columns-than-names"),
-        pytest.param("1,2,3\n" * 11, id="fewer-bands-than-cube"),
+    @pytest.mark.parametrize("text", [
+        pytest.param(b"matA,matB,matC\n1,2,3\n4,5\n", id="ragged"),
+        pytest.param(b"matA,matB,matC\n1,2,x\n", id="non-numeric"),
+        pytest.param(b"matA,matB,matC\n" + b"1,2\n" * 12, id="fewer-columns-than-names"),
+        pytest.param(b"matA,matB,matC\n" + b"1,2,3\n" * 11, id="fewer-bands-than-cube"),
+        pytest.param(b"mat\xffA,matB,matC\n" + b"1,2,3\n" * 12, id="header-not-utf8"),
     ])
-    def test_bad_library_exits_3_before_writing(self, cube, tmp_path, rows):
+    def test_bad_library_exits_3_before_writing(self, cube, tmp_path, text):
         path, lib, inst = cube
         bad = tmp_path / "badlib.csv"
-        bad.write_text("matA,matB,matC\n" + rows)
+        bad.write_bytes(text)
         out = tmp_path / "o"
         out.mkdir()
         r = run_cli("unmix", path, "-k", "3", "--library", str(bad), "--out", str(out))
@@ -364,19 +381,24 @@ class TestUnmix:
         assert r.returncode == 3
         assert "height/width" in r.stderr
 
-    @pytest.mark.parametrize("sidecar, flags", [
-        pytest.param({"height": 5, "width": 8}, (), id="wrong-pixel-count"),
-        pytest.param({}, ("--rasters",), id="rasters-without-shape"),
-        pytest.param([6, 8], (), id="not-an-object"),
+    @pytest.mark.parametrize("sidecar, flags, message", [
+        pytest.param({"height": 5, "width": 8}, (), "40 != 48 pixels", id="wrong-pixel-count"),
+        pytest.param({}, ("--rasters",), "no height/width", id="rasters-without-shape"),
+        pytest.param([6, 8], (), "cube.bin.json", id="not-an-object"),
+        pytest.param({"height": 6.0, "width": 8}, (), "cube.bin.json", id="float-height"),
+        pytest.param({"height": -6, "width": -8}, (), "cube.bin.json", id="negative-shape"),
+        pytest.param({"height": "6", "width": 8}, (), "cube.bin.json", id="string-height"),
+        pytest.param({"height": True, "width": 48}, (), "cube.bin.json", id="boolean-height"),
+        pytest.param({"height": 0, "width": 8}, (), "cube.bin.json", id="zero-height"),
     ])
-    def test_bad_sidecar_exits_3_before_writing(self, cube, tmp_path, sidecar, flags):
+    def test_bad_sidecar_exits_3_before_writing(self, cube, tmp_path, sidecar, flags, message):
         path, lib, inst = cube
         write_json(path + ".json", sidecar)
         out = tmp_path / "o"
         out.mkdir()
         r = run_cli("unmix", path, "-k", "3", *flags, "--out", str(out))
         assert r.returncode == 3
-        assert "Traceback" not in r.stderr
+        assert message in r.stderr and "Traceback" not in r.stderr
         assert os.listdir(out) == []
 
     def test_missing_meta_exits_3_before_writing(self, cube, tmp_path):

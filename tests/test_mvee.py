@@ -70,16 +70,29 @@ class TestCertificates:
         assert e.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_no_convergence_carries_last_iterate(monkeypatch):
+def _svd_coordinates(seed):
+    # c01's zero-noise 10 x 80 x 3 design in SVD coordinates
+    f = svd_truncated(generate_instance(10, 80, 3, 0.0, seed=seed).A, 3)
+    return f.S[:, None] * f.V.T
+
+
+@pytest.mark.parametrize("points, budget", [
+    pytest.param(lambda: SplitMix64(66).normal_matrix(4, 120), 3, id="gaussian"),
+    # converges only after 27,330 steps; a budget of 1500 ends in a partial
+    # second burst of 500 steps
+    pytest.param(lambda: _svd_coordinates(10_099), 1500, id="degenerate-partial-burst"),
+])
+def test_no_convergence_carries_last_iterate(monkeypatch, points, budget):
     import sepnmf.mvee as mv
 
-    monkeypatch.setattr(mv, "MAX_INNER_ITERS", 3)
-    P = SplitMix64(66).normal_matrix(4, 120)
+    monkeypatch.setattr(mv, "MAX_INNER_ITERS", budget)
+    P = points()
     with pytest.raises(mv.NoConvergenceError) as exc:
         solve_mvee(P, 1e-6)
     ell = exc.value.ellipsoid
     assert ell is not None
-    assert ell.L.shape == (4, 4)
+    assert ell.iterations == budget
+    assert ell.L.shape == (P.shape[0],) * 2
     assert ell.max_violation > 1e-6
 
 
@@ -87,9 +100,7 @@ def test_degenerate_zero_noise_design_grows_working_set_early():
     # c01's 10 x 80 x 3 seed 10081 in SVD coordinates: points on the faces of
     # a simplex, many of them almost on the optimal ellipsoid; violators
     # outside the starting set join it at the first refresh
-    A = generate_instance(10, 80, 3, 0.0, seed=10_081).A
-    f = svd_truncated(A, 3)
-    P = f.S[:, None] * f.V.T
+    P = _svd_coordinates(10_081)
     e = solve_mvee(P, 1e-6)
     assert e.max_violation <= 1e-6
     logdet_oracle, _, _, gap = khachiyan_logdet(P, 1e-10)
@@ -102,13 +113,11 @@ def test_degenerate_zero_noise_design_grows_working_set_early():
 
 @pytest.mark.parametrize("seed, bursts, admissions", [(10_040, 3, 0), (10_081, 3, 2)])
 def test_each_pass_inverts_the_moment_matrix_once(monkeypatch, seed, bursts, admissions):
-    # c01's zero-noise 10 x 80 x 3 designs in SVD coordinates; M(u) is inverted
-    # for the starting state, after every burst and after every admission
+    # M(u) is inverted for the starting state, after every burst and after
+    # every admission
     import sepnmf.mvee as mv
 
-    A = generate_instance(10, 80, 3, 0.0, seed=seed).A
-    f = svd_truncated(A, 3)
-    P = f.S[:, None] * f.V.T
+    P = _svd_coordinates(seed)
     inversions, working_sets = [0], []
     inv_psd, ascent = mv._inv_psd, mv.kernels.mvee_ascent
 

@@ -289,9 +289,11 @@ def cmd_approx(args):
         if args.truth:
             meta, _ = _load_truth(args.truth, A)
             if "robust_noise_bound" in meta and "delta" in meta:
-                bound_fields["hypothesis_satisfied"] = bool(
-                    meta["delta"] < meta["robust_noise_bound"]
-                )
+                delta, bound = meta["delta"], meta["robust_noise_bound"]
+                if not (type(delta) in (int, float) and type(bound) in (int, float)):
+                    raise BadShapeError(
+                        f"{args.truth}: delta and robust_noise_bound must be numbers")
+                bound_fields["hypothesis_satisfied"] = bool(delta < bound)
     report = ExperimentReport(
         method=args.method,
         parameters={"d": A.shape[0], "m": A.shape[1], "k": args.k, "q": args.q,

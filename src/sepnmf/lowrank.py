@@ -1,7 +1,7 @@
 """Rank-k approximation: one pipeline, three seeds.
 
 approximate(A, k, method, q) runs each engine through the same timed
-stages: seed, power (q rounds of stabilized subspace iteration), form_b
+stages: seed, power (q rounds of subspace iteration), form_b
 (B = Q Q^T A) and error_norm (the measured spectral norm of A - B).
 The engines differ only in their seed:
 
@@ -10,6 +10,17 @@ The engines differ only in their seed:
         columns, cut back to rank k after the power stage;
   svd   the truncated SVD, which forms B = U_k S_k V_k^T itself: the
         optimal rank-k reference for the other two.
+
+A power round maps Q to an orthonormal basis of A A^T Q. On a wide d x m
+input whose flop counts favour it (gram_rounds_pay: d^2 m to form
+G = A A^T once and 2 d^2 k a round, against 4 d m k a round for the
+alternating chain), the rounds multiply by G. G carries roundoff of order
+eps * sigma_1^2, so it loses the directions whose sigma_j / sigma_1 falls
+below about sqrt(eps) (Halko, Martinsson & Tropp, SIAM Rev. 2011, 4.5).
+When the Gram rounds drop a column or leave the top k unresolved, the
+rounds restart on the alternating chain, which multiplies by A^T and
+then by A and orthonormalizes after each. Tall inputs always take the
+chain.
 
 spa_rank_approx and rand_subspace_approx are shorthands for the first
 two. The bound diagnostics (bound_report) evaluate every quantity of
@@ -21,12 +32,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadRankError
-from .linalg import as_matrix, orthonormalize, singular_values, spectral_norm, svd_full, svd_truncated
+from .linalg import (
+    as_matrix,
+    orthonormalize,
+    pow2_scaled,
+    singular_values,
+    spectral_norm,
+    svd_full,
+    svd_truncated,
+)
 from .reports import stage
 from .rng import SplitMix64
 from .spa import spa_select
 
 _RANK_B_REL = 1e-10
+_RITZ_REL = 1e-10  # Gram rounds resolve the top k when lambda_k >= this * lambda_1
 _SINGULAR_G1_REL = 1e-12
 BOUND_MARGIN_CONSTANT = 20164.0  # = 142^2, the squared margin constant of the error bound
 
@@ -70,20 +90,51 @@ class BoundReport:
 def subspace_basis(A, start, q):
     """Orthonormal basis of range((A A^T)^q @ start), stabilized.
 
-    Re-orthonormalizes after every multiplication by A or A^T (2q+1 times
-    in total), which keeps the iterate representable for large q. The
-    column count can shrink if the iterate loses rank.
+    Orthonormalizes the start and then once per power round (q + 1 times
+    in total) on the Gram path, or after every multiplication by A or A^T
+    (2q + 1 times) on the alternating chain; either keeps the iterate
+    representable for large q. The column count can shrink if the
+    iterate loses rank.
     """
     return power_rounds(A, orthonormalize(start), q)
 
 
+def gram_rounds_pay(shape, k, q):
+    """Whether q power rounds on k columns of a d x m input take fewer flops
+    on G = A A^T (d^2 m to form, 2 d^2 k a round) than on the alternating
+    chain (4 d m k a round). Never for tall inputs; more rounds or columns
+    only ever favour G."""
+    d, m = shape
+    return d <= m and d * d * m + 2 * q * d * d * k < 4 * q * d * m * k
+
+
 def power_rounds(A, Q, q):
-    """q more rounds of subspace_basis's iteration on an orthonormal Q. Q is
-    not re-orthonormalized, so p rounds then q - p more reproduce q rounds."""
+    """q more power rounds on an orthonormal Q, on G = A A^T when
+    gram_rounds_pay and its guard holds, else on the alternating chain
+    restarted from Q. Q is not re-orthonormalized, so p rounds then q - p
+    more reproduce q rounds when all three calls take the same path."""
+    if gram_rounds_pay(A.shape, Q.shape[1], q):
+        Z = _gram_rounds(A, Q, q)
+        if Z is not None:
+            return Z
     for _ in range(q):
         Z = orthonormalize(A.T @ Q)
         Q = orthonormalize(A @ Z)
     return Q
+
+
+def _gram_rounds(A, Q, q):
+    """q rounds Q <- orthonormalize(G @ Q), or None when one drops a column or
+    the Ritz values of Q^T G Q end below _RITZ_REL of the largest."""
+    S = pow2_scaled(A)[0]  # G neither overflows nor underflows
+    G = S @ S.T
+    k = Q.shape[1]
+    for _ in range(q):
+        Q = orthonormalize(G @ Q)
+        if Q.shape[1] < k:
+            return None
+    ritz = np.linalg.eigvalsh(Q.T @ G @ Q)
+    return Q if ritz[0] >= _RITZ_REL * ritz[-1] else None
 
 
 def approximate(A, k, method, q, oversample=0, seed=0):

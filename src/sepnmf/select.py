@@ -7,7 +7,8 @@ shares between the methods run on it:
   compress  svd       P = Sigma_k V_k^T from the truncated SVD of A.
             subspace  P = Q^T A, Q the subspace-iteration basis seeded by
                       the first-pass picks I0 = spa_select(A, k) (power
-                      exponent q; continues the largest q already run).
+                      exponent q; continues the largest q already run on the
+                      alternating chain).
             seed-svd  SVD of the d x k submatrix A(I0); avoids any SVD of
                       the full matrix.
   whiten    mvee      C = square root of the minimum-volume enclosing
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import BadRankError, RankDeficientError
 from .linalg import as_matrix, pow2_scaled, psd_sqrt, svd_full, svd_truncated
-from .lowrank import power_rounds, subspace_basis
+from .lowrank import gram_rounds_pay, power_rounds, subspace_basis
 from .mvee import DEFAULT_EPS, ellipsoid_support, solve_mvee
 from .reports import stage
 from .spa import spa_select
@@ -110,9 +111,13 @@ class Analysis:
         return self._memo("seed", lambda: spa_select(self.A, self.k))
 
     def _basis(self, q):
-        """subspace_basis(A, A(I0), q), continued from the largest q' <= q computed."""
+        """subspace_basis(A, A(I0), q). When the flop rule keeps q rounds on k
+        columns on the alternating chain, it keeps fewer rounds or columns there
+        too, so these continue from the largest q' < q computed; Gram rounds
+        start afresh, since their guard restarts the chain from the basis it is
+        given."""
         done = max((p for p in self._chain if p <= q), default=None)
-        if done is None:
+        if done is None or (done < q and gram_rounds_pay(self.A.shape, self.k, q)):
             start = np.ascontiguousarray(self.A[:, self._seed()])
             self._chain[q] = subspace_basis(self.A, start, q)
         elif done < q:

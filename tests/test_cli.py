@@ -98,6 +98,22 @@ class TestApprox:
         assert r.returncode == 3
         assert "noidx.json" in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("field, value", [("delta", "x"), ("delta", None),
+                                              ("robust_noise_bound", True)])
+    def test_bounds_truth_with_non_numeric_noise_exits_3(self, instance_dir, tmp_path,
+                                                         field, value):
+        meta = read_json(str(instance_dir / "meta.json"))
+        meta[field] = value
+        truth = str(tmp_path / "badnoise.json")
+        write_json(truth, meta)
+        rep_path = str(tmp_path / "rep.json")
+        r = run_cli("approx", str(instance_dir / "A.mtx"), "-k", "4", "--bounds",
+                    "--truth", truth, "--report", rep_path)
+        assert r.returncode == 3, r.stderr
+        assert "badnoise.json" in r.stderr and "Traceback" not in r.stderr
+        rep = read_json(rep_path)  # the error report, with no records
+        assert "badnoise.json" in rep["error"] and rep["records"] == []
+
     @pytest.mark.parametrize("method", ["rand", "svd"])
     def test_bounds_note_for_non_spa_methods(self, instance_dir, tmp_path, method):
         rep_path = str(tmp_path / "rep.json")

@@ -4,11 +4,13 @@ from oracles import projector_approx
 
 from sepnmf import kernels, lowrank
 from sepnmf.errors import BadRankError
-from sepnmf.linalg import singular_values, spectral_norm, svd_truncated
+from sepnmf.linalg import orthonormalize, singular_values, spectral_norm, svd_truncated
 from sepnmf.lowrank import (
     APPROX_NAMES,
     approximate,
     bound_report,
+    gram_rounds_pay,
+    power_rounds,
     rand_subspace_approx,
     spa_rank_approx,
 )
@@ -79,6 +81,89 @@ class TestSpaRankApprox:
         assert int(np.sum(s_b > 1e-10 * s_b[0])) <= 5
         assert not ap.rank_collapsed
         assert {"spa", "power", "form_b", "error_norm"} <= set(ap.timings)
+
+
+def _graded(ratio, d=40, m=600, k=6):
+    """d x m input with sigma_1..sigma_k falling geometrically from 1 to ratio,
+    sigma_{k+1} = 1e-3 * ratio and the rest falling tenfold below that."""
+    U = np.linalg.qr(SplitMix64(11).normal_matrix(d, d))[0]
+    V = np.linalg.qr(SplitMix64(12).normal_matrix(m, d))[0]
+    s = np.concatenate([np.geomspace(1.0, ratio, k), 1e-3 * ratio * np.geomspace(1.0, 0.1, d - k)])
+    return np.ascontiguousarray((U * s) @ V.T)
+
+
+def _chain(A, Q, q):
+    """q rounds of the alternating chain, written out."""
+    for _ in range(q):
+        Q = orthonormalize(A @ orthonormalize(A.T @ Q))
+    return Q
+
+
+def _gram(A, Q, q):
+    """q rounds on G = A A^T, written out."""
+    G = A @ A.T
+    for _ in range(q):
+        Q = orthonormalize(G @ Q)
+    return Q
+
+
+class TestPowerRounds:
+    def test_flop_rule(self):
+        assert gram_rounds_pay((100, 20000), 10, 10)  # approx-wide
+        assert gram_rounds_pay((50, 2000), 10, 2)
+        assert not gram_rounds_pay((50, 2000), 10, 1)
+        assert not gram_rounds_pay((1000, 1500), 5, 1)
+        assert not gram_rounds_pay((20000, 100), 10, 10)  # tall: never
+        assert not gram_rounds_pay((40, 600), 6, 0)
+
+    @pytest.mark.parametrize("ratio", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-10])
+    @pytest.mark.parametrize("q", [1, 3, 10])
+    def test_graded_spectrum_keeps_the_chains_error(self, ratio, q):
+        # G = A A^T loses the directions below sqrt(eps) * sigma_1, so from
+        # sigma_k / sigma_1 = 1e-6 down the guard must restart the chain
+        A = _graded(ratio)
+        ap = spa_rank_approx(A, 6, q)
+        Q = _chain(A, orthonormalize(A[:, ap.seed_indices]), q)
+        want = spectral_norm(A - Q @ (Q.T @ A))
+        assert abs(ap.error2 - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize(
+        "A, k, q, rounds",
+        [(SplitMix64(21).normal_matrix(300, 400), 2, 1, _chain), (_graded(1e-2), 6, 3, _gram)],
+        ids=["chain", "gram"],
+    )
+    def test_flop_rule_picks_the_path(self, A, k, q, rounds):
+        Q = orthonormalize(A[:, :k])
+        assert gram_rounds_pay(A.shape, k, q) == (rounds is _gram)
+        assert power_rounds(A, Q, q).tobytes() == rounds(A, Q, q).tobytes()
+
+    @pytest.mark.parametrize(
+        "A, p, q",
+        [
+            (SplitMix64(21).normal_matrix(300, 400), 1, 3),  # chain by the flop rule
+            (SplitMix64(22).normal_matrix(60, 30), 2, 5),  # tall: chain
+            (_graded(1e-2), 2, 5),  # Gram rounds
+            (_graded(1e-8), 2, 5),  # Gram rounds the guard sends back to the chain
+        ],
+        ids=["chain", "tall", "gram", "fallback"],
+    )
+    def test_rounds_continue(self, A, p, q):
+        Q = orthonormalize(A[:, :6])
+        got = power_rounds(A, power_rounds(A, Q, p), q - p)
+        assert got.tobytes() == power_rounds(A, Q, q).tobytes()
+
+    @pytest.mark.parametrize(
+        "A, k",
+        [
+            (_graded(1e-8), 6),  # lambda_k < 1e-10 * lambda_1
+            (_graded(1e-2)[:, :3] @ SplitMix64(23).normal_matrix(3, 600), 5),  # G @ Q drops 2
+        ],
+        ids=["ritz", "rank-loss"],
+    )
+    def test_guard_restarts_the_chain(self, A, k):
+        Q = orthonormalize(SplitMix64(24).normal_matrix(40, k))
+        assert gram_rounds_pay(A.shape, k, 4)
+        assert power_rounds(A, Q, 4).tobytes() == _chain(A, Q, 4).tobytes()
 
 
 class TestRandSubspaceApprox:

@@ -212,7 +212,8 @@ def test_select_q_default_and_unknown_method():
 
 
 # every method, the subspace ones at several exponents, so the shared
-# subspace basis is both continued (q = 1 -> 2 -> 15) and restarted
+# subspace basis is both continued (q = 1 -> 2 -> 15 on the alternating
+# chain) and restarted (on Gram rounds)
 SHARED_RUNS = [
     (method, q)
     for method in SELECTOR_NAMES
@@ -230,14 +231,34 @@ def _assert_same_result(got, want):
 
 @pytest.mark.parametrize("runs", [SHARED_RUNS, SHARED_RUNS[::-1]], ids=["forward", "reversed"])
 def test_shared_analysis_matches_fresh_select(runs):
-    inst = generate_instance(12, 90, 5, 0.6, seed=8)
-    analysis = Analysis(inst.A, 5)
-    for method, q in runs:
-        _assert_same_result(analysis.select(method, q), select(inst.A, 5, method, q))
-    # a boundary tolerance that forces the fallback, after the ellipsoids are shared
-    for method in ("erspa", "merspa"):
-        got = analysis.select(method, boundary_tol=1e-15)
-        _assert_same_result(got, select(inst.A, 5, method, boundary_tol=1e-15))
+    # at 50 x 2000, k = 10 the power rounds switch from the alternating chain
+    # (q = 1) to Gram rounds (q >= 2), so the shared basis must not continue
+    # across that boundary; a tall input keeps the chain, continued throughout
+    for d, m, k in ((12, 90, 5), (50, 2000, 10), (90, 40, 5)):
+        inst = generate_instance(d, m, k, 0.6, seed=8)
+        analysis = Analysis(inst.A, k)
+        for method, q in runs:
+            _assert_same_result(analysis.select(method, q), select(inst.A, k, method, q))
+        # a boundary tolerance that forces the fallback, after the ellipsoids are shared
+        for method in ("erspa", "merspa"):
+            got = analysis.select(method, boundary_tol=1e-15)
+            _assert_same_result(got, select(inst.A, k, method, boundary_tol=1e-15))
+
+
+@pytest.mark.parametrize("d, m, k", [(12, 90, 5), (50, 2000, 10), (90, 40, 5)])
+def test_shared_basis_matches_fresh_basis(monkeypatch, d, m, k):
+    # the ellipsoid's input P = Q^T A, bit for bit: a shared basis that
+    # continued across the chain/Gram boundary would pick alike but differ here
+    inst = generate_instance(d, m, k, 0.6, seed=8)
+    seen, solve = [], select_module.solve_mvee
+    monkeypatch.setattr(select_module, "solve_mvee",
+                        lambda P, eps: seen.append(P.tobytes()) or solve(P, eps))
+    analysis = Analysis(inst.A, k)
+    for q in (1, 2, 15):
+        seen.clear()
+        analysis.select("mpspa", q)
+        select(inst.A, k, "mpspa", q)
+        assert len(seen) == 2 and seen[0] == seen[1], q
 
 
 def test_shared_results_do_not_alias_the_analysis():

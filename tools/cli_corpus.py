@@ -86,6 +86,11 @@ CORPUS = (
         ("approx-rand-rank-deficient", ["approx", os.path.join("..", "instance-rank4", "A.mtx"),
                                         "-k", "6", "--q", "2", "--method", "rand",
                                         "--report", "report.json"]),
+        # a truth file whose delta is a string: exit 3 naming the file
+        ("approx-bounds-bad-delta", ["approx", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
+                                     "--bounds", "--truth",
+                                     os.path.join(INSTANCE, "bad-delta.json"),
+                                     "--report", "report.json"]),
     ]
     + [
         ("unmix", ["unmix", os.path.join(CUBE, "A.bin"), "-k", "3", "--method", "erspa",
@@ -141,6 +146,15 @@ def _write_cube_inputs(cube_dir):
         writer.writerows([repr(float(v)) for v in row] for row in F)
 
 
+def _write_bad_truth(instance_dir):
+    """A copy of the instance's meta.json whose delta is a string."""
+    with open(os.path.join(instance_dir, "meta.json")) as fh:
+        meta = json.load(fh)
+    meta["delta"] = "x"
+    with open(os.path.join(instance_dir, "bad-delta.json"), "w") as fh:
+        json.dump(meta, fh)
+
+
 def _strip_file(path):
     if path.endswith(".json"):
         with open(path) as fh:
@@ -176,6 +190,8 @@ def run_corpus(out_dir):
                 fh.write(text)
         if name == "cube":
             _write_cube_inputs(cwd)
+        elif name == "instance":
+            _write_bad_truth(cwd)
         print(f"{name}: exit {proc.returncode}")
     for root, _, files in os.walk(out_dir):
         for fname in files:

@@ -34,8 +34,7 @@ from .lowrank import APPROX_NAMES, approximate, bound_report
 from .metrics import estimate_abundances, recovery_rate, spectral_angle_distance
 from .reports import ExperimentReport, write_report
 from .rng import RNG_NAME
-from .select import (DEFAULT_BOUNDARY_TOL, DEFAULT_EPS, DEFAULT_Q, SELECTOR_NAMES, Analysis,
-                     resolve_q, select)
+from .select import DEFAULT_BOUNDARY_TOL, DEFAULT_EPS, DEFAULT_Q, SELECTOR_NAMES, Analysis, select
 from .synth import generate_instance, robust_noise_bound, sigma_min
 
 
@@ -93,7 +92,7 @@ def build_parser():
     b = sub.add_parser("bench", help="experiment suites")
     b.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     b.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for batch suites")
-    b.add_argument("suite", choices=("fig1", "fig2", "tab2", "all"))
+    b.add_argument("suite", choices=(*bench.SUITES, "all"))
     b.add_argument("--scale", choices=("desk", "tiny"), default="desk")
     b.add_argument("--out", required=True, help="output directory")
     b.set_defaults(func=cmd_bench)
@@ -318,12 +317,11 @@ def cmd_select(args):
     if args.instances:
         return _select_batch(args)
     A = read_matrix(args.matrix, args.format)
-    q = resolve_q(args.method, args.q)
+    res = select(A, args.k, args.method, args.q, args.eps, args.boundary_tol)
     notes = []
-    if q != args.q:
-        notes.append(f"q defaulted to {q}")
-        print(f"note: --q not given, defaulting to q={q}", file=sys.stderr)
-    res = select(A, args.k, args.method, q, args.eps, args.boundary_tol)
+    if args.q is None and res.q is not None:
+        notes.append(f"q defaulted to {res.q}")
+        print(f"note: --q not given, defaulting to q={res.q}", file=sys.stderr)
     record = {
         "seed": args.seed,
         "indices_1based": (np.sort(res.indices) + 1).tolist(),
@@ -334,7 +332,7 @@ def cmd_select(args):
         record["recovery_rate"] = recovery_rate(res.indices, truth)
     report = ExperimentReport(
         method=args.method,
-        parameters={"d": A.shape[0], "m": A.shape[1], "k": args.k, "q": q,
+        parameters={"d": A.shape[0], "m": A.shape[1], "k": args.k, "q": res.q,
                     "eps": args.eps, "seed": args.seed,
                     "matrix": os.path.basename(args.matrix)},
         records=[record],
@@ -432,9 +430,8 @@ def cmd_unmix(args):
         A = np.ascontiguousarray(A[_kept_bands(args.drop_bands, A.shape[0])])
     if args.library:
         names, lib = _read_library(args.library, A.shape[0])
-    q = resolve_q(args.method, args.q)
     analysis = Analysis(A, args.k, args.eps)
-    res = analysis.select(args.method, q)
+    res = analysis.select(args.method, args.q)
     order = np.sort(res.indices)
     F_sel = np.ascontiguousarray(A[:, order])
     ab = estimate_abundances(F_sel, A)
@@ -470,7 +467,7 @@ def cmd_unmix(args):
         os.path.join(args.out, "report.json"),
         {
             "method": args.method,
-            "q": q,
+            "q": res.q,
             "k": args.k,
             "indices_1based": (order + 1).tolist(),
             "notes": list(res.notes),
@@ -496,7 +493,7 @@ def cmd_unmix(args):
 
 
 def cmd_bench(args):
-    names = ["fig1", "fig2", "tab2"] if args.suite == "all" else [args.suite]
+    names = list(bench.SUITES) if args.suite == "all" else [args.suite]
     ok_rows, failures, summary = bench.run_suites(
         names, args.out, scale=args.scale, seed=args.seed, jobs=args.jobs
     )

@@ -11,16 +11,17 @@ The engines differ only in their seed:
   svd   the truncated SVD, which forms B = U_k S_k V_k^T itself: the
         optimal rank-k reference for the other two.
 
-A power round maps Q to an orthonormal basis of A A^T Q. On a wide d x m
-input whose flop counts favour it (gram_rounds_pay: d^2 m to form
-G = A A^T once and 2 d^2 k a round, against 4 d m k a round for the
-alternating chain), the rounds multiply by G. G carries roundoff of order
-eps * sigma_1^2, so it loses the directions whose sigma_j / sigma_1 falls
-below about sqrt(eps) (Halko, Martinsson & Tropp, SIAM Rev. 2011, 4.5).
-When the Gram rounds drop a column or leave the top k unresolved, the
-rounds restart on the alternating chain, which multiplies by A^T and
-then by A and orthonormalizes after each. Tall inputs always take the
-chain.
+The power stage is subspace_basis, the one place that chooses how its
+rounds run. A power round maps Q to an orthonormal basis of A A^T Q. On
+a wide d x m input whose flop counts favour it (gram_rounds_pay: d^2 m
+to form G = A A^T once and 2 d^2 k a round, against 4 d m k a round for
+the alternating chain), the rounds multiply by G. G carries roundoff of
+order eps * sigma_1^2, so it loses the directions whose sigma_j / sigma_1
+falls below about sqrt(eps) (Halko, Martinsson & Tropp, SIAM Rev. 2011,
+4.5). When the Gram rounds drop a column or leave the top k unresolved,
+the rounds start over on the alternating chain from the orthonormalized
+start; the chain multiplies by A^T and then by A and orthonormalizes
+after each. Tall inputs always take the chain.
 
 spa_rank_approx and rand_subspace_approx are shorthands for the first
 two. The bound diagnostics (bound_report) evaluate every quantity of
@@ -90,13 +91,22 @@ class BoundReport:
 def subspace_basis(A, start, q):
     """Orthonormal basis of range((A A^T)^q @ start), stabilized.
 
-    Orthonormalizes the start and then once per power round (q + 1 times
-    in total) on the Gram path, or after every multiplication by A or A^T
-    (2q + 1 times) on the alternating chain; either keeps the iterate
-    representable for large q. The column count can shrink if the
-    iterate loses rank.
+    Orthonormalizes the start, then runs q power rounds from it: on
+    G = A A^T when gram_rounds_pay and the Gram rounds' guard holds, else
+    on the alternating chain. Orthonormalizing once per Gram round (q + 1
+    times in total) or after every multiplication by A or A^T on the
+    chain (2q + 1 times) keeps the iterate representable for large q.
+    The column count can shrink if the iterate loses rank.
     """
-    return power_rounds(A, orthonormalize(start), q)
+    Q = orthonormalize(start)
+    if gram_rounds_pay(A.shape, Q.shape[1], q):
+        Z = _gram_rounds(A, Q, q)
+        if Z is not None:
+            return Z
+    for _ in range(q):
+        Z = orthonormalize(A.T @ Q)
+        Q = orthonormalize(A @ Z)
+    return Q
 
 
 def gram_rounds_pay(shape, k, q):
@@ -106,21 +116,6 @@ def gram_rounds_pay(shape, k, q):
     only ever favour G."""
     d, m = shape
     return d <= m and d * d * m + 2 * q * d * d * k < 4 * q * d * m * k
-
-
-def power_rounds(A, Q, q):
-    """q more power rounds on an orthonormal Q, on G = A A^T when
-    gram_rounds_pay and its guard holds, else on the alternating chain
-    restarted from Q. Q is not re-orthonormalized, so p rounds then q - p
-    more reproduce q rounds when all three calls take the same path."""
-    if gram_rounds_pay(A.shape, Q.shape[1], q):
-        Z = _gram_rounds(A, Q, q)
-        if Z is not None:
-            return Z
-    for _ in range(q):
-        Z = orthonormalize(A.T @ Q)
-        Q = orthonormalize(A @ Z)
-    return Q
 
 
 def _gram_rounds(A, Q, q):

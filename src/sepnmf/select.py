@@ -7,8 +7,7 @@ shares between the methods run on it:
   compress  svd       P = Sigma_k V_k^T from the truncated SVD of A.
             subspace  P = Q^T A, Q the subspace-iteration basis seeded by
                       the first-pass picks I0 = spa_select(A, k) (power
-                      exponent q; continues the largest q already run on the
-                      alternating chain).
+                      exponent q; subspace_basis chooses how the rounds run).
             seed-svd  SVD of the d x k submatrix A(I0); avoids any SVD of
                       the full matrix.
   whiten    mvee      C = square root of the minimum-volume enclosing
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import BadRankError, RankDeficientError
 from .linalg import as_matrix, pow2_scaled, psd_sqrt, svd_full, svd_truncated
-from .lowrank import gram_rounds_pay, power_rounds, subspace_basis
+from .lowrank import subspace_basis
 from .mvee import DEFAULT_EPS, ellipsoid_support, solve_mvee
 from .reports import stage
 from .spa import spa_select
@@ -68,13 +67,6 @@ class SelectorResult:
     notes: tuple = ()
 
 
-def resolve_q(method, q=None):
-    """The power exponent `method` runs with: DEFAULT_Q for a subspace method given None."""
-    if q is None and SELECTORS[method][0] == "subspace":
-        return DEFAULT_Q
-    return q
-
-
 def _boundary_pick(P, ell, C, k, boundary_tol, notes):
     cand = np.flatnonzero(np.abs(ellipsoid_support(ell, P) - 1.0) <= boundary_tol)
     if cand.size < k:
@@ -99,7 +91,6 @@ class Analysis:
         self.k = k
         self.eps = eps
         self._stages = {}
-        self._chain = {}  # q -> subspace basis Q_q
 
     def _memo(self, key, compute):
         if key not in self._stages:
@@ -111,24 +102,16 @@ class Analysis:
         return self._memo("seed", lambda: spa_select(self.A, self.k))
 
     def _basis(self, q):
-        """subspace_basis(A, A(I0), q). When the flop rule keeps q rounds on k
-        columns on the alternating chain, it keeps fewer rounds or columns there
-        too, so these continue from the largest q' < q computed; Gram rounds
-        start afresh, since their guard restarts the chain from the basis it is
-        given."""
-        done = max((p for p in self._chain if p <= q), default=None)
-        if done is None or (done < q and gram_rounds_pay(self.A.shape, self.k, q)):
-            start = np.ascontiguousarray(self.A[:, self._seed()])
-            self._chain[q] = subspace_basis(self.A, start, q)
-        elif done < q:
-            self._chain[q] = power_rounds(self.A, self._chain[done], q - done)
-        return self._chain[q]
+        """subspace_basis(A, A(I0), q), once per q."""
+        return self._memo(("basis", q), lambda: subspace_basis(
+            self.A, np.ascontiguousarray(self.A[:, self._seed()]), q))
 
     def select(self, method, q=None, boundary_tol=DEFAULT_BOUNDARY_TOL):
         """Run the selector named `method` (a key of SELECTORS) on A.
 
         q is the power exponent of the subspace methods (DEFAULT_Q when
-        None); the other methods ignore it.
+        None); the other methods ignore it. The result's q is the exponent
+        the power rounds ran with, None when none ran.
 
         k = 1 bypasses the ellipsoid methods' preconditioning (the
         conditioning analysis assumes k >= 2) and falls back to plain
@@ -140,8 +123,11 @@ class Analysis:
             raise ValueError(f"unknown selector {method!r}; expected one of {SELECTOR_NAMES}")
         A, k = self.A, self.k
         compress, whiten, pick = SELECTORS[method]
-        q = resolve_q(method, q) if compress == "subspace" else None
-        if q is not None and q < 0:
+        if compress != "subspace":
+            q = None
+        elif q is None:
+            q = DEFAULT_Q
+        elif q < 0:
             raise BadRankError(f"{method}: q must be >= 0, got {q}")
         timing, notes = {}, []
         if k == 1 and whiten == "mvee":

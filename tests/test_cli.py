@@ -176,6 +176,21 @@ class TestSelect:
         assert r.returncode == 0
         assert "q=10" in r.stderr
 
+    @pytest.mark.parametrize(
+        "k, flags, notes",
+        [("3", ["--method", "pspa", "--q", "-5"], []),
+         ("1", ["--method", "mpspa"], ["k=1: preconditioning bypassed"])],
+        ids=["pspa-reads-no-q", "k1-bypass"],
+    )
+    def test_report_records_only_the_q_run(self, instance_dir, tmp_path, k, flags, notes):
+        rep_path = str(tmp_path / "sel.json")
+        r = run_cli("select", str(instance_dir / "A.mtx"), "-k", k, *flags, "--report", rep_path)
+        assert r.returncode == 0, r.stderr
+        params = read_json(rep_path)["parameters"]
+        assert params["q"] is None
+        assert params["notes"] == notes
+        assert "defaulting" not in r.stderr
+
     def test_batch_csv_schema(self, tmp_path):
         out = str(tmp_path / "batch.csv")
         r = run_cli("select", "-k", "3", "--instances", "2", "-d", "12", "-m", "90",
@@ -349,6 +364,13 @@ class TestUnmix:
                     "--out", str(tmp_path / "m"), "--expect-match", "pspa")
         assert r.returncode == 0, r.stderr
         assert "match" in r.stdout
+
+    @pytest.mark.parametrize("method, q, want", [("pspa", "4", None), ("mpspa", "4", 4)])
+    def test_report_records_only_the_q_run(self, cube, tmp_path, method, q, want):
+        out = tmp_path / "out"
+        r = run_cli("unmix", cube[0], "-k", "3", "--method", method, "--q", q, "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        assert read_json(str(out / "report.json"))["q"] == want
 
     def test_abundance_iteration_cap_exits_3_before_writing(self, cube, tmp_path,
                                                             monkeypatch, capsys):

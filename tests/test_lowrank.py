@@ -10,9 +10,9 @@ from sepnmf.lowrank import (
     approximate,
     bound_report,
     gram_rounds_pay,
-    power_rounds,
     rand_subspace_approx,
     spa_rank_approx,
+    subspace_basis,
 )
 from sepnmf.rng import SplitMix64
 from sepnmf.synth import generate_instance, rescale_noise, robust_noise_bound
@@ -133,24 +133,9 @@ class TestPowerRounds:
         ids=["chain", "gram"],
     )
     def test_flop_rule_picks_the_path(self, A, k, q, rounds):
-        Q = orthonormalize(A[:, :k])
+        start = A[:, :k]
         assert gram_rounds_pay(A.shape, k, q) == (rounds is _gram)
-        assert power_rounds(A, Q, q).tobytes() == rounds(A, Q, q).tobytes()
-
-    @pytest.mark.parametrize(
-        "A, p, q",
-        [
-            (SplitMix64(21).normal_matrix(300, 400), 1, 3),  # chain by the flop rule
-            (SplitMix64(22).normal_matrix(60, 30), 2, 5),  # tall: chain
-            (_graded(1e-2), 2, 5),  # Gram rounds
-            (_graded(1e-8), 2, 5),  # Gram rounds the guard sends back to the chain
-        ],
-        ids=["chain", "tall", "gram", "fallback"],
-    )
-    def test_rounds_continue(self, A, p, q):
-        Q = orthonormalize(A[:, :6])
-        got = power_rounds(A, power_rounds(A, Q, p), q - p)
-        assert got.tobytes() == power_rounds(A, Q, q).tobytes()
+        assert subspace_basis(A, start, q).tobytes() == rounds(A, orthonormalize(start), q).tobytes()
 
     @pytest.mark.parametrize(
         "A, k",
@@ -161,9 +146,9 @@ class TestPowerRounds:
         ids=["ritz", "rank-loss"],
     )
     def test_guard_restarts_the_chain(self, A, k):
-        Q = orthonormalize(SplitMix64(24).normal_matrix(40, k))
+        start = SplitMix64(24).normal_matrix(40, k)
         assert gram_rounds_pay(A.shape, k, 4)
-        assert power_rounds(A, Q, 4).tobytes() == _chain(A, Q, 4).tobytes()
+        assert subspace_basis(A, start, 4).tobytes() == _chain(A, orthonormalize(start), 4).tobytes()
 
 
 class TestRandSubspaceApprox:

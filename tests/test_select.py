@@ -211,9 +211,8 @@ def test_select_q_default_and_unknown_method():
         select(inst.A, 3, "bogus")
 
 
-# every method, the subspace ones at several exponents, so the shared
-# subspace basis is both continued (q = 1 -> 2 -> 15 on the alternating
-# chain) and restarted (on Gram rounds)
+# every method, the subspace ones at several exponents, so one Analysis
+# holds a subspace basis per q, on the alternating chain and on Gram rounds
 SHARED_RUNS = [
     (method, q)
     for method in SELECTOR_NAMES
@@ -232,8 +231,7 @@ def _assert_same_result(got, want):
 @pytest.mark.parametrize("runs", [SHARED_RUNS, SHARED_RUNS[::-1]], ids=["forward", "reversed"])
 def test_shared_analysis_matches_fresh_select(runs):
     # at 50 x 2000, k = 10 the power rounds switch from the alternating chain
-    # (q = 1) to Gram rounds (q >= 2), so the shared basis must not continue
-    # across that boundary; a tall input keeps the chain, continued throughout
+    # (q = 1) to Gram rounds (q >= 2); a tall input keeps the chain throughout
     for d, m, k in ((12, 90, 5), (50, 2000, 10), (90, 40, 5)):
         inst = generate_instance(d, m, k, 0.6, seed=8)
         analysis = Analysis(inst.A, k)
@@ -247,8 +245,8 @@ def test_shared_analysis_matches_fresh_select(runs):
 
 @pytest.mark.parametrize("d, m, k", [(12, 90, 5), (50, 2000, 10), (90, 40, 5)])
 def test_shared_basis_matches_fresh_basis(monkeypatch, d, m, k):
-    # the ellipsoid's input P = Q^T A, bit for bit: a shared basis that
-    # continued across the chain/Gram boundary would pick alike but differ here
+    # the ellipsoid's input P = Q^T A, bit for bit: a shared basis built any
+    # other way than a fresh one could pick alike but differ here
     inst = generate_instance(d, m, k, 0.6, seed=8)
     seen, solve = [], select_module.solve_mvee
     monkeypatch.setattr(select_module, "solve_mvee",

@@ -67,6 +67,9 @@ CORPUS = (
         for method in METHODS
     ]
     + [
+        # pspa runs no power rounds, so its report records q as null
+        ("select-pspa-unread-q", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "3",
+                                  "--method", "pspa", "--q", "-5", "--report", "report.json"]),
         ("select-erspa-tol", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
                               "--method", "erspa", "--boundary-tol", "1e-15",
                               "--report", "report.json"]),

@@ -34,7 +34,8 @@ from .lowrank import APPROX_NAMES, approximate, bound_report
 from .metrics import estimate_abundances, recovery_rate, spectral_angle_distance
 from .reports import ExperimentReport, write_report
 from .rng import RNG_NAME
-from .select import DEFAULT_BOUNDARY_TOL, DEFAULT_EPS, DEFAULT_Q, SELECTOR_NAMES, Analysis, select
+from .select import (DEFAULT_BOUNDARY_TOL, DEFAULT_EPS, DEFAULT_Q, SELECTOR_NAMES, Analysis,
+                     power_exponent, select)
 from .synth import generate_instance, robust_noise_bound, sigma_min
 
 
@@ -173,7 +174,10 @@ def main(argv=None):
 
 def _params_from(args):
     keys = ("d", "m", "k", "q", "eps", "seed", "oversample", "method", "instances")
-    return {k: getattr(args, k, None) for k in keys if getattr(args, k, None) is not None}
+    params = {k: getattr(args, k, None) for k in keys}
+    if args.command == "select":  # the q the method runs with, as its success report records
+        params["q"] = power_exponent(args.method, args.k, args.q)
+    return {k: v for k, v in params.items() if v is not None}
 
 
 def _checked(convert, check, requirement):

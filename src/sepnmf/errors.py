@@ -38,12 +38,8 @@ class NotPsdError(SepnmfError):
     """Matrix expected positive semidefinite has a significantly negative eigenvalue."""
 
 
-class DegenerateInputError(SepnmfError):
-    """Fewer independent directions than the requested number of picks."""
-
-
 class RankDeficientError(SepnmfError):
-    """Point set (or matrix) does not span the required space."""
+    """Point set (or matrix) spans fewer directions than the requested rank or picks."""
 
 
 class NoConvergenceError(SepnmfError):

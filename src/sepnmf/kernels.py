@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError, NoConvergenceError
+from .errors import NoConvergenceError, RankDeficientError
 
 
 @functools.lru_cache(maxsize=128)
@@ -148,7 +148,7 @@ def spa_core(A, k, norm_floor):
     # cancels to noise once residuals fall below ~1e-8 of their column
     # norms, so a round that finds no residual above the floor recomputes
     # the norms exactly and retakes its pick before it gives up. Returns the
-    # k picks in order; raises DegenerateInputError when residuals run out.
+    # k picks in order; raises RankDeficientError when residuals run out.
     d, m = A.shape
     sq = np.zeros(m)
     for i in range(d):
@@ -171,7 +171,7 @@ def spa_core(A, k, norm_floor):
             if nv > norm_floor:
                 break
         else:
-            raise DegenerateInputError(f"residual norms exhausted after {r} of {k} rounds")
+            raise RankDeficientError(f"residual norms exhausted after {r} of {k} rounds")
         v /= nv
         U[r] = v
         dots = np.dot(v, A)

@@ -3,13 +3,17 @@
 Solves  minimize -log det(L)  s.t.  p^T L p <= 1 for every point p,
 L positive definite, through the dual D-optimal design: ascend
 log det M(u) over the weight simplex (Wolfe-Atwood coordinate steps with
-away steps) on a working set that starts as the 10k largest-norm points.
-One loop alternates ascent bursts of at most _REFRESH_EVERY steps with a
-refresh that inverts M(u) on the working set once. L = M(u)^{-1} / k
-gives each point's violation p^T L p - 1; these serve the certificate
-and admit up to k of the worst violators outside the working set, and
-the same inverse starts the next burst when none joins. The
-Kiefer-Wolfowitz gap certifies log det(L) >= log det(L_opt) - k log(1+eps).
+away steps). The weights start uniform on the k successive-projection
+picks of the points, on a working set of those picks and the 10k
+largest-norm points; on near-separable data the picks are the optimal
+support, so that start is optimal and certifies at zero steps (core-set
+starts after Kumar & Yildirim, JOTA 2005). One loop alternates ascent
+bursts of at most _REFRESH_EVERY steps with a refresh that inverts M(u)
+on the working set once. L = M(u)^{-1} / k gives each point's violation
+p^T L p - 1; these serve the certificate and admit up to k of the worst
+violators outside the working set, and the same inverse starts the next
+burst when none joins. The Kiefer-Wolfowitz gap certifies
+log det(L) >= log det(L_opt) - k log(1+eps).
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatchError, NoConvergenceError, RankDeficientError
-from .linalg import as_matrix, eigh_sym, orthonormalize
+from .linalg import as_matrix, eigh_sym
+from .spa import spa_select
 
 DEFAULT_EPS = 1e-6
 MAX_INNER_ITERS = 100_000
@@ -40,8 +45,8 @@ class Ellipsoid:
 
 def _inv_psd(M):
     lam, V = eigh_sym(M)
-    floor = _EIG_FLOOR_REL * float(lam.sum())
-    lam = np.maximum(lam, max(floor, 1e-300))
+    if lam.min() <= max(_EIG_FLOOR_REL * float(lam.sum()), 1e-300):
+        raise RankDeficientError(f"points span fewer than k={M.shape[0]} dimensions")
     return (V / lam) @ V.T
 
 
@@ -53,8 +58,11 @@ def solve_mvee(P, eps=DEFAULT_EPS):
     """Ellipsoid for the columns of the k x m point matrix P.
 
     Requires rank(P) = k and eps in (0, 0.5). Deterministic. Raises
-    NoConvergence (carrying the last iterate) if the iteration budget is
-    exhausted before the certificate holds.
+    RankDeficient when P spans fewer than k directions (successive
+    projection runs out of residual, or M(u) is numerically singular), and
+    NoConvergence (carrying the last iterate) when the ascent stops before
+    the certificate holds: at the iteration budget, or when a fresh
+    inverse refutes a burst that took no step.
     """
     P = as_matrix(P, "P")
     k, m = P.shape
@@ -62,24 +70,20 @@ def solve_mvee(P, eps=DEFAULT_EPS):
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
     if m < k:
         raise RankDeficientError(f"need at least k={k} points, got {m}")
-    if orthonormalize(P.T).shape[1] < k:
-        raise RankDeficientError(f"points span fewer than k={k} dimensions")
+    picks = spa_select(P, k)
 
     pts = np.ascontiguousarray(P.T)  # one point per row
-    if k == 1:
-        return _solve_1d(pts[:, 0])
-
     norms = np.einsum("ij,ij->i", pts, pts)
     order = np.argsort(-norms, kind="stable")
-    ws = np.sort(order[: min(10 * k, m)])
+    ws = np.union1d(order[: min(10 * k, m)], picks)
     Pw = np.ascontiguousarray(pts[ws])
-    u = np.full(ws.size, 1.0 / ws.size)
-    u = u / u.sum()  # as after each admission: n terms of 1/n need not sum to 1
+    u = np.where(np.isin(ws, picks), 1.0 / k, 0.0)
+    u = u / u.sum()  # as after each admission: k terms of 1/k need not sum to 1
     u_full = np.zeros(m)
     minv = _inv_moment(Pw, u)
     iters = 0
-    # every pass takes ascent steps or grows the working set, so the step
-    # budget bounds the loop
+    # every pass takes ascent steps, grows the working set or ends the loop,
+    # so the step budget bounds it
     while iters < MAX_INNER_ITERS:
         kappa = np.einsum("ij,jl,il->i", Pw, minv, Pw)
         status, done = kernels.mvee_ascent(
@@ -101,30 +105,14 @@ def solve_mvee(P, eps=DEFAULT_EPS):
             u = np.maximum(u_full[ws], 1e-12)
             u = u / u.sum()
             minv = _inv_moment(Pw, u)
-        elif status == 0:
+        elif status == 0 and ell.max_violation <= eps:
             return ell
+        elif done == 0:
+            break  # no step on a state the fresh inverse refutes: the next burst would match
     raise NoConvergenceError(
-        f"ellipsoid ascent hit {MAX_INNER_ITERS} iterations "
+        f"ellipsoid ascent stopped after {iters} iterations "
         f"(violation {ell.max_violation:.3e})",
         ellipsoid=ell,
-    )
-
-
-def _solve_1d(xs):
-    j = int(np.argmax(np.abs(xs)))
-    top = xs[j] * xs[j]
-    if top <= 0.0:
-        raise RankDeficientError("all points are zero")
-    u = np.zeros(xs.size)
-    u[j] = 1.0
-    L = np.array([[1.0 / top]])
-    viol = float((xs * xs / top).max() - 1.0)
-    return Ellipsoid(
-        L=L,
-        weights=u,
-        support=np.array([j]),
-        max_violation=viol,
-        iterations=0,
     )
 
 

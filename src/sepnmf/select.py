@@ -27,8 +27,10 @@ ellipsoid, as do mpspa and merspa at equal q. `select(A, k, method)` runs
 one method on its own Analysis; the `*_select` functions are shorthands.
 
 Indices refer to columns of the original matrix and do not depend on its scale.
-Only spaspa's index set is reproducible, not its order: whitening maps the
-k seed columns to exactly unit norm, so roundoff orders them.
+For spaspa, pspa and mpspa the index set is the contract, not its order:
+spaspa's whitening maps the k seed columns to exactly unit norm, and so
+does the ellipsoid whitening when the optimal ellipsoid is supported on the
+k picks its solver starts from (near-separable data), so roundoff orders them.
 """
 
 from dataclasses import dataclass, field
@@ -65,6 +67,14 @@ class SelectorResult:
     q: int | None = None
     timing: dict = field(default_factory=dict)
     notes: tuple = ()
+
+
+def power_exponent(method, k, q=None):
+    """The q `method` runs its power rounds with at rank k when asked for q
+    (DEFAULT_Q when None); None when it runs none, as every method at k = 1."""
+    if SELECTORS[method][0] != "subspace" or k == 1:
+        return None
+    return DEFAULT_Q if q is None else q
 
 
 def _boundary_pick(P, ell, C, k, boundary_tol, notes):
@@ -123,15 +133,12 @@ class Analysis:
             raise ValueError(f"unknown selector {method!r}; expected one of {SELECTOR_NAMES}")
         A, k = self.A, self.k
         compress, whiten, pick = SELECTORS[method]
-        if compress != "subspace":
-            q = None
-        elif q is None:
-            q = DEFAULT_Q
-        elif q < 0:
+        if compress == "subspace" and q is not None and q < 0:
             raise BadRankError(f"{method}: q must be >= 0, got {q}")
+        q = power_exponent(method, k, q)
         timing, notes = {}, []
         if k == 1 and whiten == "mvee":
-            compress, whiten, pick, q = None, None, "spa", None
+            compress, whiten, pick = None, None, "spa"
             notes.append("k=1: preconditioning bypassed")
 
         # compress: P holds A's columns in k coordinates, f the SVD sigma whitens by

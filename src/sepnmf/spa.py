@@ -20,7 +20,7 @@ REL_DEGENERATE_TOL = 1e-12
 def spa_select(A, k):
     """Indices of k successively projected max-norm columns, in pick order.
 
-    Raises DegenerateInput when some round finds all residual norms at or
+    Raises RankDeficient when some round finds all residual norms at or
     below 1e-12 times the Frobenius norm of A (fewer than k independent
     directions). A runs as pow2_scaled(A), so 2**j * A gives the same picks.
     """

@@ -257,7 +257,7 @@ class TestSelect:
 
         out = str(tmp_path / "bt.csv")
         r = run_cli("select", "-k", "4", "--instances", "1", "-d", "20", "-m", "150",
-                    "--deltas", "0.5", "--methods", "erspa", "--boundary-tol", "1e-15",
+                    "--deltas", "2", "--methods", "erspa", "--boundary-tol", "1e-15",
                     "--out", out)
         assert r.returncode == 0, r.stderr
         rec = read_json(str(tmp_path / "bt.json"))["records"][0]
@@ -318,6 +318,21 @@ class TestSelect:
                     "--method", "spa", "--truth", str(other / "meta.json"))
         assert r.returncode == 3
         assert "digest" in r.stderr
+
+    @pytest.mark.parametrize("flags, q", [
+        (["--method", "prewhiten", "--q", "3"], None),
+        (["--method", "mpspa"], 10),
+        (["--method", "mpspa", "--q", "3"], 3),
+    ], ids=["prewhiten-reads-no-q", "mpspa-default-q", "mpspa-given-q"])
+    def test_error_report_records_the_q_the_method_runs(self, tmp_path, flags, q):
+        # a rank-3 instance at k = 4: every method here exits 3
+        r = run_cli("synth", "-d", "10", "-m", "60", "-k", "3", "--seed", "5",
+                    "-o", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        rep_path = str(tmp_path / "err.json")
+        r = run_cli("select", str(tmp_path / "A.mtx"), "-k", "4", *flags, "--report", rep_path)
+        assert r.returncode == 3, r.stderr
+        assert read_json(rep_path)["parameters"].get("q") == q
 
     def test_computation_error_exits_3_with_report(self, tmp_path):
         u = np.arange(1.0, 7.0).reshape(-1, 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import naive_spa
 
-from sepnmf.errors import BadRankError, DegenerateInputError
+from sepnmf.errors import BadRankError, RankDeficientError
 from sepnmf.linalg import singular_values
 from sepnmf.metrics import recovery_rate
 from sepnmf.rng import SplitMix64
@@ -32,7 +32,7 @@ class TestSelection:
 
     def test_degenerate_input(self):
         A = np.outer(np.arange(1.0, 5.0), np.ones(6))  # rank one
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(RankDeficientError):
             spa_select(A, 2)
 
     @pytest.mark.parametrize("eta", [3e-9, 1e-10, 1e-11])
@@ -42,7 +42,7 @@ class TestSelection:
         assert spa_select(np.array([[1.0, 1.0], [eta, -eta]]), 2).tolist() == [0, 1]
 
     def test_residual_below_floor_still_degenerate(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(RankDeficientError):
             spa_select(np.array([[1.0, 1.0], [1e-13, -1e-13]]), 2)
 
     def test_matches_naive_oracle_many_seeds(self):

@@ -55,6 +55,8 @@ CORPUS = (
         # zero noise: A has rank 4 exactly
         ("instance-rank4", ["synth", "-d", "20", "-m", "200", "-k", "4", "--seed", "7",
                             "-o", "."]),
+        ("instance-rank3", ["synth", "-d", "10", "-m", "60", "-k", "3", "--seed", "5",
+                            "-o", "."]),
     ]
     # the ellipsoid solve admits points into its working set on 10081 and
     # only refreshes it on 10040
@@ -70,6 +72,13 @@ CORPUS = (
         # pspa runs no power rounds, so its report records q as null
         ("select-pspa-unread-q", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "3",
                                   "--method", "pspa", "--q", "-5", "--report", "report.json"]),
+        # k = 4 on a rank-3 matrix exits 3; the error report records the q
+        # the method runs with: none for prewhiten, the default 10 for mpspa
+        ("select-prewhiten-error-q", ["select", os.path.join("..", "instance-rank3", "A.mtx"),
+                                      "-k", "4", "--method", "prewhiten", "--q", "3",
+                                      "--report", "report.json"]),
+        ("select-mpspa-error-q", ["select", os.path.join("..", "instance-rank3", "A.mtx"),
+                                  "-k", "4", "--method", "mpspa", "--report", "report.json"]),
         ("select-erspa-tol", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
                               "--method", "erspa", "--boundary-tol", "1e-15",
                               "--report", "report.json"]),

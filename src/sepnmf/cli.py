@@ -474,6 +474,7 @@ def cmd_unmix(args):
             "q": res.q,
             "k": args.k,
             "indices_1based": (order + 1).tolist(),
+            "abundance_passes": ab.iterations,
             "notes": list(res.notes),
             "files": files,
             "timing": res.timing,

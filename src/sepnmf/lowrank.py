@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadRankError
+from .errors import BadRankError, NonFiniteError
 from .linalg import (
     as_matrix,
     orthonormalize,
@@ -265,7 +265,10 @@ def bound_report(A, approx):
             )
         hs1 = G21 * scale
         hs1_norm = spectral_norm(hs1) if hs1.size else 0.0
-        quadratic_rhs = hs1_norm**2 + sigma_k1**2
+        with np.errstate(over="ignore"):
+            quadratic_rhs = float(np.float64(hs1_norm) ** 2 + np.float64(sigma_k1) ** 2)
+        if quadratic_rhs == np.inf:
+            raise NonFiniteError("bound_report: the quadratic bound's right-hand side overflows")
 
     s_b = singular_values(approx.Q.T @ A)  # B = Q Q^T A has the same nonzero sigmas
     rank_b = int(np.sum(s_b > _RANK_B_REL * s_b[0])) if s_b[0] > 0 else 0

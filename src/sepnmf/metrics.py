@@ -2,8 +2,9 @@
 simplex-constrained abundance estimation.
 
 Abundances solve, per pixel a, min ||F w - a||^2 over the probability
-simplex with an accelerated projected-gradient loop (step 1/sigma_max^2,
-threshold-iteration exact projection, fixed-point KKT stop at 1e-8).
+simplex exactly: the fully constrained least squares of Heinz & Chang (IEEE
+TGRS 2001), which is Lawson & Hanson's NNLS active set (1974) with the
+sum-to-one row, run on all pixels at once on G = F^T F and C = F^T A.
 """
 
 from dataclasses import dataclass
@@ -18,9 +19,6 @@ from .errors import (
     ZeroVectorError,
 )
 from .linalg import as_matrix, singular_values
-
-_KKT_TOL = 1e-8
-_MAX_FISTA_ITERS = 50_000
 
 
 def recovery_rate(found, truth):
@@ -44,36 +42,36 @@ def spectral_angle_distance(f, fhat):
     return float(np.arccos(cosang))
 
 
-def project_columns_to_simplex(V):
-    """Euclidean projection of every column of V onto {w >= 0, sum w = 1}.
+def project_rows_to_simplex(V):
+    """Euclidean projection of every row of V onto {w >= 0, sum w = 1}.
 
     Michelot's threshold iteration (Condat, Math. Program. 2016), at most k
-    passes, on the entries less their column maximum, clamped at -1 where
-    none can be in the support, so no finite scale or tie leaves the simplex.
+    passes, on the entries less their row maximum, clamped at -1 where none
+    can be in the support, so no finite scale or tie leaves the simplex.
     """
     V = np.asarray(V, dtype=np.float64)
-    k = V.shape[0]
+    k = V.shape[1]
     with np.errstate(over="ignore"):  # a span past the float range gives -inf, clamped too
-        D = np.maximum(V - V.max(axis=0), -1.0)
-    theta = np.maximum(-1.0, (D.sum(axis=0) - 1.0) / k)
+        D = np.maximum(V - V.max(axis=1, keepdims=True), -1.0)
+    theta = np.maximum(-1.0, (D.sum(axis=1, keepdims=True) - 1.0) / k)
     mask, size = np.ones(D.shape, dtype=bool), k
     while True:
         mask &= D > theta
-        size, last = mask.sum(axis=0, dtype=np.min_scalar_type(k)), size
-        theta = (np.einsum("ij,ij->j", D, mask) - 1.0) / size
+        size, last = mask.sum(axis=1, keepdims=True, dtype=np.min_scalar_type(k)), size
+        theta = (np.einsum("ij,ij->i", D, mask)[:, None] - 1.0) / size
         if (size == last).all():
             D -= theta
             return np.maximum(D, 0.0, out=D)
 
 
-def project_rows_to_simplex(V):
-    """Euclidean projection of every row of V onto {w >= 0, sum w = 1}."""
-    return project_columns_to_simplex(np.transpose(V)).T
+def _pass_cap(k):
+    """Lawson & Hanson's NNLS cap of 3n iterations, for n = k weights."""
+    return 3 * k
 
 
 @dataclass
 class AbundanceResult:
-    """Per-pixel simplex weights (columns) and the gradient steps taken."""
+    """Per-pixel simplex weights (columns) and the active-set passes taken."""
 
     W: np.ndarray
     iterations: int = 0
@@ -82,38 +80,50 @@ class AbundanceResult:
 def estimate_abundances(F, A):
     """Simplex-constrained least-squares weights for every column of A.
 
-    Accelerated projected gradient on all pixels at once; stops when the
-    fixed-point residual ||w - proj(w - step * grad)||_inf is at most 1e-8
-    for every pixel, and raises NoConvergenceError at the iteration cap.
+    F and A are first scaled together by one exact power of two, which
+    leaves W unchanged and keeps G and C in range. Every pixel starts at its
+    best single vertex. Each pass groups the unsettled pixels by support and
+    solves each group's (|S|+1)^2 KKT system once. A pixel whose solution
+    leaves the simplex steps to the boundary and drops the first blocking
+    weight; any other admits the index with the most negative reduced
+    gradient, or settles when none is below -1e-12 sigma_max(F)^2.
+    `iterations` counts the passes; pixels still unsettled after 3k passes
+    raise NoConvergenceError.
     """
-    F = as_matrix(F, "F")
-    A = as_matrix(A)
-    d, k = F.shape
-    if A.shape[0] != d:
-        raise DimensionMismatchError(f"F has {d} rows but A has {A.shape[0]}")
+    F, A = as_matrix(F, "F"), as_matrix(A)
+    if A.shape[0] != F.shape[0]:
+        raise DimensionMismatchError(f"F has {F.shape[0]} rows but A has {A.shape[0]}")
+    e = int(np.frexp(max(np.abs(F).max(), A.max(), -A.min()))[1])
+    F = np.ldexp(F, -e)
     s = singular_values(F)
     if s[-1] <= 1e-12 * s[0]:
         raise RankDeficientBasisError("basis is numerically rank deficient")
-    step = 1.0 / (s[0] * s[0])
-
-    G = F.T @ F
-    C = F.T @ A
-    W = np.full((k, A.shape[1]), 1.0 / k)
-    Y, buf, t_acc = W.copy(), np.empty_like(W), 1.0
-
-    def gradient_step(Z):  # Z - step * (G @ Z - C), in buf
-        np.subtract(np.matmul(G, Z, out=buf), C, out=buf)
-        return np.subtract(Z, np.multiply(buf, step, out=buf), out=buf)
-    for it in range(1, _MAX_FISTA_ITERS + 1):
-        W_new = project_columns_to_simplex(gradient_step(Y))
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        # Y = W_new + ((t_acc - 1) / t_new) * (W_new - W), in Y's buffer
-        np.add(W_new, np.multiply(np.subtract(W_new, W, out=Y), (t_acc - 1.0) / t_new, out=Y), out=Y)
-        W, t_acc = W_new, t_new
-        if it % 10 == 0 or it == 1:
-            fp = project_columns_to_simplex(gradient_step(W))
-            if np.abs(np.subtract(W, fp, out=fp), out=fp).max() <= _KKT_TOL:
-                break
-    else:
-        raise NoConvergenceError(f"abundances: KKT stop not met in {_MAX_FISTA_ITERS} steps")
-    return AbundanceResult(W=W, iterations=it)
+    G, C = F.T @ F, np.ldexp(F.T @ A, -e)
+    k, n = C.shape
+    S = np.arange(k)[:, None] == np.argmin(np.diag(G)[:, None] - 2.0 * C, axis=0)  # supports
+    W, todo = S.astype(np.float64), np.ones(n, dtype=bool)
+    for passes in range(1, _pass_cap(k) + 1):
+        j = np.flatnonzero(todo)
+        j = j[np.lexsort(S[:, j])]  # stable: grouped by support, in order within a group
+        for p in np.split(j, np.flatnonzero((S[:, j[1:]] != S[:, j[:-1]]).any(axis=0)) + 1):
+            idx, pos = np.flatnonzero(S[:, p[0]]), np.arange(p.size)
+            kkt = np.pad(G[np.ix_(idx, idx)], (0, 1), constant_values=1.0)
+            kkt[-1, -1] = 0.0
+            sol = np.linalg.solve(kkt, np.vstack([C[np.ix_(idx, p)], np.ones(p.size)]))
+            z, w = sol[:-1], W[np.ix_(idx, p)]  # sum-to-one multipliers in sol[-1]
+            ratio = np.where(z <= 0.0, w / np.where(z < w, w - z, 1.0), np.inf)
+            b = ratio.argmin(axis=0)
+            out = ratio[b, pos] < np.inf  # z left the simplex: step to the boundary, drop b
+            w = np.where(out, w + np.where(out, ratio[b, pos], 0.0) * (z - w), z)
+            w[b[out], pos[out]] = 0.0
+            W[np.ix_(idx, p)] = np.maximum(w, 0.0)
+            S[idx[b[out]], p[out]] = False
+            # pixels whose z stayed inside solve their support: admit an index or settle
+            red = np.where(S[:, p], 0.0, G[:, idx] @ z - C[:, p] + sol[-1])
+            i = red.argmin(axis=0)
+            admit = ~out & (red[i, pos] < -1e-12 * s[0] ** 2)
+            todo[p[~out & ~admit]] = False
+            S[i[admit], p[admit]] = True
+        if not todo.any():
+            return AbundanceResult(W=W, iterations=passes)
+    raise NoConvergenceError(f"abundances: active set not settled in {_pass_cap(k)} passes")

@@ -10,6 +10,7 @@ from sepnmf import metrics
 from sepnmf.cli import build_parser, main
 from sepnmf.io import read_json, read_matrix, write_json, write_matrix
 from sepnmf.reports import strip_timing
+from sepnmf.rng import SplitMix64
 from sepnmf.synth import generate_instance
 
 
@@ -87,6 +88,17 @@ class TestApprox:
         rep = read_json(rep_path)
         assert rep["bound_fields"]["rank_b"] == 4
         assert rep["bound_fields"]["hypothesis_satisfied"] in (True, False)
+
+    def test_bounds_overflow_exits_3(self, tmp_path):
+        # sigma_2 is roundoff of the 1e300 column, about 1e284: its square overflows
+        A = SplitMix64(0).uniform(6 * 23).reshape(6, 23)
+        A[:, 5] *= 1e300
+        path, rep_path = str(tmp_path / "big.bin"), str(tmp_path / "rep.json")
+        write_matrix(path, A)
+        r = run_cli("approx", path, "-k", "1", "--q", "2", "--bounds", "--report", rep_path)
+        assert r.returncode == 3
+        assert "right-hand side overflows" in r.stderr and "Traceback" not in r.stderr
+        assert read_json(rep_path)["error"]
 
     def test_bounds_truth_without_indices_exits_3(self, instance_dir, tmp_path):
         meta = read_json(str(instance_dir / "meta.json"))
@@ -390,11 +402,26 @@ class TestUnmix:
     def test_abundance_iteration_cap_exits_3_before_writing(self, cube, tmp_path,
                                                             monkeypatch, capsys):
         path, lib, inst = cube
+        done = tmp_path / "done"
+        assert main(["unmix", path, "-k", "3", "--method", "pspa", "--out", str(done)]) == 0
+        passes = read_json(str(done / "report.json"))["abundance_passes"]
+        assert passes > 2
         out = tmp_path / "capped"
-        monkeypatch.setattr(metrics, "_MAX_FISTA_ITERS", 3)
+        monkeypatch.setattr(metrics, "_pass_cap", lambda k: 2)
         assert main(["unmix", path, "-k", "3", "--method", "pspa", "--out", str(out)]) == 3
-        assert "abundances: KKT stop not met in 3 steps" in capsys.readouterr().err
+        assert "abundances: active set not settled in 2 passes" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_power_of_two_scaled_cube_gives_the_same_abundances(self, tmp_path):
+        A = generate_instance(20, 400, 3, 0.0, seed=7).A
+        got = {}
+        for j in (0, 530, -530):
+            path = str(tmp_path / f"cube{j}.bin")
+            write_matrix(path, np.ldexp(A, j))
+            out = tmp_path / f"out{j}"
+            assert main(["unmix", path, "-k", "3", "--out", str(out)]) == 0
+            got[j] = (out / "abundances.csv").read_bytes()
+        assert got[530] == got[0] and got[-530] == got[0]
 
     @pytest.mark.parametrize("flags", [
         ("--method", "bogus"),

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from oracles import projector_approx
 
 from sepnmf import kernels, lowrank
-from sepnmf.errors import BadRankError
+from sepnmf.errors import BadRankError, NonFiniteError
 from sepnmf.linalg import orthonormalize, singular_values, spectral_norm, svd_truncated
 from sepnmf.lowrank import (
     APPROX_NAMES,
@@ -283,4 +285,15 @@ class TestBoundReport:
         A = SplitMix64(3).normal_matrix(8, 12)
         ap = rand_subspace_approx(A, 2, 1, 0, seed=1)
         with pytest.raises(ValueError):
+            bound_report(A, ap)
+
+
+def test_bound_report_overflow_is_a_typed_error():
+    # sigma_2 is roundoff of the 1e300 column, about 1e284: its square overflows
+    A = SplitMix64(0).uniform(6 * 23).reshape(6, 23)
+    A[:, 5] *= 1e300
+    ap = spa_rank_approx(A, 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="overflows"):
             bound_report(A, ap)

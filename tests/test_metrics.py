@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import simplex_lsq_oracle, sort_simplex_projection
 
@@ -18,6 +20,7 @@ from sepnmf.metrics import (
     spectral_angle_distance,
 )
 from sepnmf.rng import SplitMix64
+from sepnmf.synth import generate_instance, rescale_noise, robust_noise_bound
 
 
 class TestRecoveryRate:
@@ -174,7 +177,75 @@ class TestAbundances:
         r = SplitMix64(7)
         F = r.uniform(40).reshape(10, 4)
         A = r.normal_matrix(10, 25)
-        assert estimate_abundances(F, A).iterations > 3
-        monkeypatch.setattr(metrics, "_MAX_FISTA_ITERS", 3)
-        with pytest.raises(NoConvergenceError, match="3 steps"):
+        assert estimate_abundances(F, A).iterations > 2
+        monkeypatch.setattr(metrics, "_pass_cap", lambda k: 2)
+        with pytest.raises(NoConvergenceError, match="2 passes"):
             estimate_abundances(F, A)
+
+
+class TestActiveSet:
+    def test_matches_support_enumeration_oracle_up_to_k10(self):
+        r = SplitMix64(11)
+        for case in range(90):
+            k = 2 + case % 9
+            F = r.normal_matrix(k + 2 + case % 5, k)
+            a = 2.0 * r.normal(F.shape[0])
+            res = estimate_abundances(F, a.reshape(-1, 1))
+            w_star, obj_star = simplex_lsq_oracle(F, a)
+            obj = float(np.sum((F @ res.W[:, 0] - a) ** 2))
+            assert obj <= obj_star * (1 + 1e-12)
+            assert np.abs(res.W[:, 0] - w_star).max() <= 1e-12
+            assert res.iterations <= metrics._pass_cap(k)
+
+    # integer spectra, so G, C and the multipliers are exact
+    TIES_F = np.array([[2.0, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 1]])
+
+    @pytest.mark.parametrize("a, want, passes", [
+        pytest.param([0, 2, 0, 1], [0, 1, 0], 1, id="vertex"),
+        # vertices 0 and 1 tie as the start; the first is taken
+        pytest.param([1, 1, 0, 1], [0.5, 0.5, 0], 2, id="edge-midpoint"),
+        # C equals the midpoint's: a nonzero residual orthogonal to F leaves
+        # index 2 a reduced gradient of exactly 0 at the optimum, so it stays out
+        pytest.param([2, 2, 1, -1], [0.5, 0.5, 0], 2, id="zero-reduced-gradient"),
+    ])
+    def test_exact_ties(self, a, want, passes):
+        res = estimate_abundances(self.TIES_F, np.array(a, dtype=float).reshape(-1, 1))
+        assert np.abs(res.W[:, 0] - want).max() <= 1e-15
+        assert res.W[2, 0] == 0.0
+        assert res.iterations == passes
+
+    def test_interior_optimum_takes_k_passes(self):
+        # one singleton pass, then one admission a pass until the full support settles
+        F = SplitMix64(12).uniform(32).reshape(8, 4)
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        res = estimate_abundances(F, (F @ w).reshape(-1, 1))
+        assert np.abs(res.W[:, 0] - w).max() <= 1e-13
+        assert res.iterations == 4
+
+    def test_iterations_are_the_passes_on_the_unmix_cube(self, monkeypatch):
+        base = generate_instance(156, 95 * 95, 3, 1.0, 1710)
+        A = rescale_noise(base, 0.9 * robust_noise_bound(base.F)).A
+        F = np.ascontiguousarray(A[:, base.true_indices])
+        res = estimate_abundances(F, A)
+        assert res.iterations <= metrics._pass_cap(3)
+        assert (res.W >= 0).all() and np.abs(res.W.sum(axis=0) - 1.0).max() <= 1e-12
+        monkeypatch.setattr(metrics, "_pass_cap", lambda k: res.iterations)
+        assert estimate_abundances(F, A).W.tobytes() == res.W.tobytes()
+        monkeypatch.setattr(metrics, "_pass_cap", lambda k: res.iterations - 1)
+        with pytest.raises(NoConvergenceError):
+            estimate_abundances(F, A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6), st.integers(-900, 900))
+@example(7, 3, 530)
+@example(7, 3, -530)
+def test_weights_do_not_depend_on_power_of_two_scaling(seed, k, j):
+    r = SplitMix64(seed)
+    F = r.uniform(10 * k).reshape(10, k)
+    A = F @ r.uniform(k * 40).reshape(k, 40) + 0.1 * r.normal_matrix(10, 40)
+    want = estimate_abundances(F, A).W
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = estimate_abundances(np.ldexp(F, j), np.ldexp(A, j)).W
+    assert got.tobytes() == want.tobytes()

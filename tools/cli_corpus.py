@@ -23,6 +23,9 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
 
+import numpy as np  # noqa: E402
+
+from sepnmf.io import read_matrix, write_matrix  # noqa: E402
 from sepnmf.reports import strip_timing  # noqa: E402
 
 INSTANCE = os.path.join("..", "instance")
@@ -57,6 +60,9 @@ CORPUS = (
                             "-o", "."]),
         ("instance-rank3", ["synth", "-d", "10", "-m", "60", "-k", "3", "--seed", "5",
                             "-o", "."]),
+        # zero noise; the corpus adds a copy scaled by 2^530
+        ("cube-exact", ["synth", "-d", "20", "-m", "400", "-k", "3", "--seed", "7",
+                        "--format", "bin", "-o", "."]),
     ]
     # the ellipsoid solve admits points into its working set on 10081 and
     # only refreshes it on 10040
@@ -108,6 +114,11 @@ CORPUS = (
         ("unmix", ["unmix", os.path.join(CUBE, "A.bin"), "-k", "3", "--method", "erspa",
                    "--library", os.path.join(CUBE, "lib.csv"), "--rasters",
                    "--expect-match", "pspa", "--out", "out"]),
+        # abundances do not depend on a common power-of-two scale
+        ("unmix-exact", ["unmix", os.path.join("..", "cube-exact", "A.bin"), "-k", "3",
+                         "--out", "out"]),
+        ("unmix-exact-2p530", ["unmix", os.path.join("..", "cube-exact", "A-2p530.bin"), "-k",
+                               "3", "--out", "out"]),
     ]
     + [(f"bench-{suite}", ["bench", suite, "--scale", "tiny", "--out", "."])
        for suite in ("fig1", "fig2", "tab2")]
@@ -158,6 +169,12 @@ def _write_cube_inputs(cube_dir):
         writer.writerows([repr(float(v)) for v in row] for row in F)
 
 
+def _write_scaled_cube(cube_dir):
+    """A-2p530.bin: the cube times 2^530, exactly."""
+    A = read_matrix(os.path.join(cube_dir, "A.bin"))
+    write_matrix(os.path.join(cube_dir, "A-2p530.bin"), np.ldexp(A, 530))
+
+
 def _write_bad_truth(instance_dir):
     """A copy of the instance's meta.json whose delta is a string."""
     with open(os.path.join(instance_dir, "meta.json")) as fh:
@@ -204,6 +221,8 @@ def run_corpus(out_dir):
             _write_cube_inputs(cwd)
         elif name == "instance":
             _write_bad_truth(cwd)
+        elif name == "cube-exact":
+            _write_scaled_cube(cwd)
         print(f"{name}: exit {proc.returncode}")
     for root, _, files in os.walk(out_dir):
         for fname in files:

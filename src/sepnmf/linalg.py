@@ -9,9 +9,12 @@ Veselic, SIMAX 2008) and runs the Jacobi sweeps on the rows, which then
 start orthogonal up to roundoff: one or two sweeps polish them (only the k
 leading rows for a truncated SVD) and decide convergence, so every singular
 value keeps high relative accuracy, which the bound diagnostics rely on
-(tiny sigma_{k+1} against 1e-10 absolute slacks). The long-side factor is
-formed once from the QR's reflectors, for the columns the caller needs
-only. Both factors come out orthonormal to machine precision.
+(tiny sigma_{k+1} against 1e-10 absolute slacks). A long A^T is factored
+in row tiles that fit in cache, their stacked R factors once more (TSQR).
+The long-side factor is the QR's Q applied to the columns the caller
+needs only, its reflectors in compact-WY blocks of 16, so both the
+reduction and the application run as matrix-matrix products. Both
+factors come out orthonormal to machine precision.
 
 spectral_norm (sigma_max of the short-side Gram matrix), orthonormalize
 (a Householder Q, rotated by the SVD of its R when that shows rank
@@ -37,6 +40,9 @@ _JACOBI_MAX_SWEEPS = 60
 _SAFE_EXP = 100  # inputs with max |entry| within 2**±100 keep their scale
 _SYM_TOL = 1e-10  # relative asymmetry eigh_sym accepts
 _RANK_REL_TOL = 1e-12  # relative singular value below which orthonormalize drops a direction
+_TILE_ROWS = 2048  # least rows of a QR tile; tiles also have at least 8 r rows
+_WY_BLOCK = 16  # Householder reflectors applied as one compact-WY block
+_LOWER = np.tri(_WY_BLOCK, k=-1, dtype=bool)  # strictly lower triangle of a block
 
 
 def as_matrix(A, name="A"):
@@ -77,17 +83,57 @@ def spectral_norm(A):
     return float(np.ldexp(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)), e))
 
 
-def _apply_q(h, tau, Z):
+def _tiled_qr(M):
+    """Householder QR of the tall n x r matrix M by row tiles (TSQR; Demmel,
+    Grigori, Hoemmen & Langou, SISC 2012): each tile of at least
+    max(_TILE_ROWS, 8 r) rows is factored on its own, in cache, and the
+    stacked R factors of the tiles once more. Returns (X, top, tiles): X = R^T
+    for M = Q R, top the raw (h, tau) of the stack (None for one tile, which
+    is the single QR of M) and tiles each tile's raw (h, tau)."""
+    n, r = M.shape
+    t = n // max(_TILE_ROWS, 8 * r)
+    if t <= 1:
+        h, tau = np.linalg.qr(M, mode="raw")
+        return np.tril(h[:, :r]), None, [(h, tau)]
+    tiles = [np.linalg.qr(T, mode="raw") for T in np.array_split(M, t)]
+    stack = np.concatenate([np.tril(h[:, :r]) for h, _ in tiles], axis=1).T
+    top = np.linalg.qr(stack, mode="raw")
+    return np.tril(top[0][:, :r]), top, tiles
+
+
+def _apply_reflectors(h, tau, Z):
     """Q @ Z for the Q of numpy.linalg.qr(..., mode="raw") output (h, tau),
-    applying the Householder reflectors to Z padded with zero rows, so the
-    long n x r factor Q is never formed."""
-    out = np.zeros((h.shape[1], Z.shape[1]))
+    Z padded with zero rows. The reflectors go in blocks of _WY_BLOCK, the
+    last block first, block b as I - V_b^T T_b V_b (Schreiber & Van Loan,
+    SISC 1989): V_b holds the block's reflectors as rows and
+    T_b = (I + diag(tau_b) striu(V_b V_b^T))^-1 diag(tau_b), so no n x n or
+    n x r Q is formed."""
+    r, n = h.shape
+    out = np.zeros((n, Z.shape[1]))
     out[: Z.shape[0]] = Z
-    for j in range(tau.size - 1, -1, -1):
-        v = h[j, j:].copy()
-        v[0] = 1.0
-        out[j:] -= np.outer(tau[j] * v, v @ out[j:])
+    for j0 in range((r - 1) // _WY_BLOCK * _WY_BLOCK, -1, -_WY_BLOCK):
+        j1 = min(j0 + _WY_BLOCK, r)
+        low = _LOWER[: j1 - j0, : j1 - j0]
+        V = h[j0:j1, j0:].copy()  # left of the unit diagonal the rows hold R
+        V[:, : j1 - j0][low] = 0.0
+        np.fill_diagonal(V, 1.0)
+        tau_b = tau[j0:j1]
+        T = (V @ V.T) * tau_b[:, None]
+        T[low] = 0.0
+        np.fill_diagonal(T, 1.0)
+        T = np.linalg.solve(T, np.diag(tau_b))
+        w = out[j0:]
+        w -= V.T @ (T @ (V @ w))
     return out
+
+
+def _apply_q(top, tiles, Z):
+    """Q @ Z for the Q of _tiled_qr: the stack's reflectors first, then each
+    tile's reflectors on its r rows of the result."""
+    if top is None:
+        return _apply_reflectors(*tiles[0], Z)
+    Z = np.split(_apply_reflectors(*top, Z), len(tiles))
+    return np.concatenate([_apply_reflectors(h, tau, z) for (h, tau), z in zip(tiles, Z)])
 
 
 def _jacobi_svd(A, k):
@@ -99,8 +145,7 @@ def _jacobi_svd(A, k):
     r = Y.shape[0]
     # Y^T = Q T (Householder, column-wise backward stable), so Y = X Q^T
     # with X = T^T, and the Jacobi sweeps rotate r x r rows instead of r x n
-    h, tau = np.linalg.qr(Y.T, mode="raw")
-    X = np.tril(h[:, :r])
+    X, top, tiles = _tiled_qr(Y.T)
     # X <- V^T X and R = V^T for the eigenvectors V of X X^T, descending
     lam, R = np.linalg.eigh(X @ X.T)
     R = R[:, ::-1].T.copy()
@@ -123,7 +168,7 @@ def _jacobi_svd(A, k):
     W[:, :live] /= s[order[:live]]
     if live < r:
         W[:, live:] = np.linalg.qr(W[:, :live], mode="complete")[0][:, live:]
-    long = _apply_q(h, tau, W[:, :k])
+    long = _apply_q(top, tiles, W[:, :k])
     if transposed:
         return long, S, short
     return short, S, long

@@ -28,6 +28,7 @@ two. The bound diagnostics (bound_report) evaluate every quantity of
 the approximation-error analysis on a concrete spa run.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,7 @@ class BoundReport:
     g1_min: float
     g2_max: float
     error_bound: float
-    margin_bound: float
+    margin_bound: float | None
     quadratic_rhs: float | None
     achieved_error: float
     rank_b: int
@@ -104,7 +105,7 @@ def subspace_basis(A, start, q):
         if Z is not None:
             return Z
     for _ in range(q):
-        Z = orthonormalize(A.T @ Q)
+        Z = orthonormalize((Q.T @ A).T)  # = A^T Q, reading A in its own order
         Q = orthonormalize(A @ Z)
     return Q
 
@@ -205,7 +206,8 @@ def bound_report(A, approx):
     of G_2 and of H S_1 are spectral norms. The achieved error is
     approx.error2, so A must be the matrix approx was built from. When G_1
     is numerically singular the fields that depend on H = Z_2 Z_1^{-1} are
-    left unset and singular_z1 is flagged.
+    left unset and singular_z1 is flagged; margin_bound is None when
+    rho <= 0.
     """
     A = as_matrix(A)
     if approx.seed_indices is None:
@@ -234,20 +236,15 @@ def bound_report(A, approx):
     g1_min = float(s_g1[-1])
     g2_max = spectral_norm(G2) if G2.shape[0] else 0.0
 
-    if sigma_k1 == 0.0:
-        err_bound = 0.0
-        mrg_bound = 0.0 if rho > 0 else float("nan")
-    else:
-        # numpy scalar power overflows to inf (q = 0 makes the exponent
-        # negative, and the ratio can be arbitrarily small)
-        with np.errstate(over="ignore", divide="ignore"):
-            ratio_pow = np.float64(sigma_k1 / sigma_k) ** (4 * q - 2)
-            err_bound = sigma_k1 * np.sqrt(1.0 + ratio_pow / BOUND_MARGIN_CONSTANT)
-            mrg_bound = (
-                sigma_k1 * np.sqrt(1.0 + (sigma_k1 / rho) ** 2 * ratio_pow)
-                if rho > 0
-                else float("nan")
-            )
+    # sigma_{k+1} sqrt(1 + (sigma_{k+1}/sigma_k)^(4q-2) / c) = hypot(sigma_{k+1}, t / sqrt(c))
+    # with t = sigma_{k+1} (sigma_{k+1}/sigma_k)^(2q-1): sigma_k at q = 0, at most
+    # sigma_{k+1} after, so no power of the ratio overflows; both bounds are 0
+    # when sigma_{k+1} is. The margin bound exists only for rho > 0; None (JSON
+    # null) otherwise.
+    t = 0.0 if sigma_k1 == 0.0 else (
+        sigma_k if q == 0 else sigma_k1 * (sigma_k1 / sigma_k) ** (2 * q - 1))
+    err_bound = math.hypot(sigma_k1, t / math.sqrt(BOUND_MARGIN_CONSTANT))
+    mrg_bound = math.hypot(sigma_k1, t * (sigma_k1 / rho)) if rho > 0 else None
 
     singular_z1 = sigma_k <= 0.0 or g1_min < _SINGULAR_G1_REL * float(s_g1[0])
     quadratic_rhs = None
@@ -280,8 +277,8 @@ def bound_report(A, approx):
         rho=rho,
         g1_min=g1_min,
         g2_max=g2_max,
-        error_bound=float(err_bound),
-        margin_bound=float(mrg_bound),
+        error_bound=err_bound,
+        margin_bound=mrg_bound,
         quadratic_rhs=quadratic_rhs,
         achieved_error=approx.error2,
         rank_b=rank_b,

@@ -20,6 +20,14 @@ from .errors import (
 )
 from .linalg import as_matrix, singular_values
 
+# A pixel settles once no reduced gradient is below -_ADMIT_REL sigma_max(F)^2.
+# If that leaves out a weight w_j of the exact w (a = F w), the settled z has
+# sigma_min^2 w_j^2 <= ||F (z - w)||^2 <= _ADMIT_REL sigma_max^2 w_j, so weights
+# up to _ADMIT_REL cond(F)^2 can be missed; refusing cond(F) >= _MAX_COND keeps
+# that at 1e-6.
+_ADMIT_REL = 1e-12
+_MAX_COND = 1e3
+
 
 def recovery_rate(found, truth):
     """|found ∩ truth| / k with set semantics."""
@@ -88,7 +96,9 @@ def estimate_abundances(F, A):
     weight; any other admits the index with the most negative reduced
     gradient, or settles when none is below -1e-12 sigma_max(F)^2.
     `iterations` counts the passes; pixels still unsettled after 3k passes
-    raise NoConvergenceError.
+    raise NoConvergenceError. A basis with cond(F) >= 1e3 raises
+    RankDeficientBasisError: past it the settling test could miss weights
+    above 1e-6.
     """
     F, A = as_matrix(F, "F"), as_matrix(A)
     if A.shape[0] != F.shape[0]:
@@ -96,8 +106,9 @@ def estimate_abundances(F, A):
     e = int(np.frexp(max(np.abs(F).max(), A.max(), -A.min()))[1])
     F = np.ldexp(F, -e)
     s = singular_values(F)
-    if s[-1] <= 1e-12 * s[0]:
-        raise RankDeficientBasisError("basis is numerically rank deficient")
+    if s[-1] <= s[0] / _MAX_COND:
+        raise RankDeficientBasisError(
+            f"basis is rank deficient or ill-conditioned: sigma_min <= sigma_max / {_MAX_COND:g}")
     G, C = F.T @ F, np.ldexp(F.T @ A, -e)
     k, n = C.shape
     S = np.arange(k)[:, None] == np.argmin(np.diag(G)[:, None] - 2.0 * C, axis=0)  # supports
@@ -121,7 +132,7 @@ def estimate_abundances(F, A):
             # pixels whose z stayed inside solve their support: admit an index or settle
             red = np.where(S[:, p], 0.0, G[:, idx] @ z - C[:, p] + sol[-1])
             i = red.argmin(axis=0)
-            admit = ~out & (red[i, pos] < -1e-12 * s[0] ** 2)
+            admit = ~out & (red[i, pos] < -_ADMIT_REL * s[0] ** 2)
             todo[p[~out & ~admit]] = False
             S[i[admit], p[admit]] = True
         if not todo.any():

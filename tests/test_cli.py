@@ -89,6 +89,32 @@ class TestApprox:
         assert rep["bound_fields"]["rank_b"] == 4
         assert rep["bound_fields"]["hypothesis_satisfied"] in (True, False)
 
+    @pytest.mark.parametrize("case", ["rho-not-positive", "q0-tiny-sigma"])
+    def test_bounds_report_is_strict_json(self, tmp_path, case):
+        # rho-not-positive: on a Gaussian 10 x 30 matrix at k = 5, sigma_min of
+        # the picked columns lies below sigma_6, so the margin bound does not
+        # exist. q0-tiny-sigma: at q = 0 the bounds' power
+        # (sigma_2/sigma_1)^(4q-2) of 1e320 overflows, though both are finite.
+        A, k, q = {
+            "rho-not-positive": (SplitMix64(3).normal_matrix(10, 30), 5, 1),
+            "q0-tiny-sigma": (np.array([[1.0, 0.0, 0.5], [0.0, 1e-160, 0.0]]), 1, 0),
+        }[case]
+        path, rep_path = str(tmp_path / "a.bin"), tmp_path / "rep.json"
+        write_matrix(path, A)
+        r = run_cli("approx", path, "-k", str(k), "--q", str(q), "--bounds",
+                    "--report", str(rep_path))
+        assert r.returncode == 0, r.stderr
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        fields = json.loads(rep_path.read_text(), parse_constant=refuse)["bound_fields"]
+        if case == "rho-not-positive":
+            assert fields["rho"] <= 0 and fields["margin_bound"] is None
+        else:  # sigma_2 sqrt(1 + (sigma_1/sigma_2)^2 / 142^2), about sigma_1 / 142
+            assert fields["error_bound"] == pytest.approx(fields["sigma_k"] / 142, rel=1e-12)
+            assert fields["margin_bound"] < 1e-159
+
     def test_bounds_overflow_exits_3(self, tmp_path):
         # sigma_2 is roundoff of the 1e300 column, about 1e284: its square overflows
         A = SplitMix64(0).uniform(6 * 23).reshape(6, 23)
@@ -264,19 +290,32 @@ class TestSelect:
             assert float(row[3]) == float(np.mean(cell))
 
     def test_batch_passes_boundary_tol(self, tmp_path):
+        # erspa falls back, with a note, exactly when fewer than k points lie
+        # within boundary_tol of the ellipsoid's boundary. Both tols come from
+        # the instance's own sorted |support - 1|, half the k-th value and
+        # halfway to the (k+1)-th, so roundoff moves no point across either.
+        from sepnmf.linalg import pow2_scaled, svd_truncated
+        from sepnmf.mvee import DEFAULT_EPS, ellipsoid_support, solve_mvee
         from sepnmf.select import select
         from sepnmf.synth import rescale_noise, sigma_min
 
-        out = str(tmp_path / "bt.csv")
-        r = run_cli("select", "-k", "4", "--instances", "1", "-d", "20", "-m", "150",
-                    "--deltas", "2", "--methods", "erspa", "--boundary-tol", "1e-15",
-                    "--out", out)
-        assert r.returncode == 0, r.stderr
-        rec = read_json(str(tmp_path / "bt.json"))["records"][0]
-        base = generate_instance(20, 150, 4, 1.0, rec["seed"])
-        inst = rescale_noise(base, rec["delta_mult"] * sigma_min(base.F))
-        notes = list(select(inst.A, 4, "erspa", boundary_tol=1e-15).notes)
-        assert notes and rec["notes"] == notes
+        base = generate_instance(20, 150, 4, 1.0, 0)  # instance 0 of base seed 0
+        inst = rescale_noise(base, 2 * sigma_min(base.F))
+        f = svd_truncated(pow2_scaled(inst.A)[0], 4)
+        P = np.ascontiguousarray(f.S[:, None] * f.V.T)
+        gap = np.sort(np.abs(ellipsoid_support(solve_mvee(P, DEFAULT_EPS), P) - 1.0))
+        assert 0.0 < gap[3] < gap[4]
+        for tol, fallback in ((float(gap[3] / 2), True), (float((gap[3] + gap[4]) / 2), False)):
+            out = tmp_path / f"bt{int(fallback)}.csv"
+            r = run_cli("select", "-k", "4", "--instances", "1", "-d", "20", "-m", "150",
+                        "--deltas", "2", "--methods", "erspa", "--boundary-tol", repr(tol),
+                        "--out", str(out))
+            assert r.returncode == 0, r.stderr
+            rec = read_json(str(out.with_suffix(".json")))["records"][0]
+            assert rec["seed"] == 0 and rec["delta_mult"] == 2
+            notes = list(select(inst.A, 4, "erspa", boundary_tol=tol).notes)
+            assert rec["notes"] == notes
+            assert bool(notes) == fallback
 
     def test_batch_mode_refuses_single_matrix_flags(self, instance_dir, tmp_path):
         rep, out = tmp_path / "r.json", tmp_path / "g.csv"

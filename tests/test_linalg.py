@@ -1,8 +1,9 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepnmf import kernels, linalg
@@ -461,3 +462,83 @@ def test_power_of_two_scaling_property(d, m, seed, k, j):
     for got, ref in ((singular_values(Aj), singular_values(A)),
                      (svd_truncated(Aj, k).S, svd_truncated(A, k).S)):
         assert (np.abs(np.ldexp(got, -j) - ref) <= 1e-13 * ref).all()
+
+
+def _tiled_q(Y, tile_rows, Z):
+    """(X, number of tiles, Q @ Z) of the tiled reduction of Y^T with
+    _TILE_ROWS set to tile_rows."""
+    with mock.patch.object(linalg, "_TILE_ROWS", tile_rows):
+        X, top, tiles = linalg._tiled_qr(Y.T)
+        return X, len(tiles), linalg._apply_q(top, tiles, Z)
+
+
+# examples: r below, at and above the 16-reflector block and not a multiple
+# of it; n just under and just over two tiles of max(_TILE_ROWS, 8 r) rows;
+# r above _TILE_ROWS (tiles of 8 r rows)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 400), st.sampled_from([1, 8, 64, 2048]),
+       st.integers(1, 40), st.integers(0, 2**32))
+@example(5, 60, 8, 3, 1)
+@example(16, 240, 8, 16, 2)
+@example(17, 300, 8, 9, 3)
+@example(33, 0, 8, 33, 4)
+@example(4, 59, 32, 4, 5)
+@example(4, 60, 32, 4, 6)
+@example(20, 300, 8, 7, 7)
+def test_tiled_qr_applies_the_reduced_q(r, extra, tile_rows, k, seed):
+    k = min(k, r)
+    Y = _rand(seed, r, r + extra)
+    Z = orthonormalize(_rand(seed + 1, r, k))
+    X, _, got = _tiled_q(Y, tile_rows, Z)
+    Q, R = np.linalg.qr(Y.T)
+    # the factorizations agree up to the signs of Q's columns (X = R^T)
+    sign = np.sign(np.diag(X)) * np.sign(np.diag(R))
+    assert np.abs(got - Q @ (sign[:, None] * Z)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, tiles", [(4095, 1), (4096, 2)])
+def test_tiled_qr_splits_at_two_tile_heights(n, tiles):
+    Y = _rand(71, 5, n)
+    Z = np.eye(5)
+    X, count, got = _tiled_q(Y, linalg._TILE_ROWS, Z)
+    assert count == tiles
+    Q, R = np.linalg.qr(Y.T)
+    sign = np.sign(np.diag(X)) * np.sign(np.diag(R))
+    assert np.abs(got - Q * sign).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 400), st.sampled_from([1, 8, 2048]),
+       st.integers(0, 39), st.integers(0, 2**32))
+@example(20, 300, 8, 5, 1)
+@example(17, 0, 2048, 16, 2)
+def test_tiled_qr_with_a_zero_column(r, extra, tile_rows, zero, seed):
+    # a zero column of Y^T gives tau = 0 in every tile and in the stack; Q is
+    # then unique only up to the zero column, so check the factorization
+    zero %= r
+    Y = _rand(seed, r, r + extra)
+    Y[zero] = 0.0
+    X, _, Q = _tiled_q(Y, tile_rows, np.eye(r))
+    assert np.abs(Q.T @ Q - np.eye(r)).max() <= 1e-13
+    assert np.abs(Q @ X.T - Y.T).max() <= 1e-13 * np.linalg.norm(Y, 2)
+    Q0, R0 = np.linalg.qr(Y.T)
+    sign = np.sign(np.diag(X)[:zero]) * np.sign(np.diag(R0)[:zero])
+    assert np.abs(Q[:, :zero] - Q0[:, :zero] * sign).max(initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(12, 4200), (4200, 12), (30, 5000)])
+def test_svd_on_tiled_shapes(shape):
+    A = _rand(72, *shape)
+    assert len(linalg._tiled_qr(A.T if shape[0] < shape[1] else A)[2]) >= 2
+    ref = np.linalg.svd(A, compute_uv=False)
+    t = min(shape)
+    f = svd_full(A)
+    assert (np.abs(f.S - ref) <= 1e-12 * ref).all()
+    assert np.abs(f.U.T @ f.U - np.eye(t)).max() <= 1e-12
+    assert np.abs(f.V.T @ f.V - np.eye(t)).max() <= 1e-12
+    assert np.abs(f.U @ (f.S[:, None] * f.V.T) - A).max() <= 1e-12 * ref[0]
+    for k in (1, 3, t - 1):
+        tr = svd_truncated(A, k)
+        assert np.abs(tr.U.T @ tr.U - np.eye(k)).max() <= 1e-12
+        assert np.abs(tr.V.T @ tr.V - np.eye(k)).max() <= 1e-12
+        assert np.abs(A @ tr.V - tr.U * tr.S).max() <= 1e-12 * ref[0]

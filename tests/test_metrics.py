@@ -167,6 +167,30 @@ class TestAbundances:
         with pytest.raises(RankDeficientBasisError):
             estimate_abundances(F, np.ones((6, 2)))
 
+    @staticmethod
+    def _graded_probe(c, seed, power):
+        # F = U diag(geomspace(1, 1/c, 5)) V^T, 20 x 5 with cond(F) = c, and
+        # simplex weights W (power 4 makes small weights common); pixels F W
+        r = SplitMix64(seed)
+        U = np.linalg.qr(r.normal_matrix(20, 5))[0]
+        V = np.linalg.qr(r.normal_matrix(5, 5))[0]
+        F = (U * np.geomspace(1.0, 1.0 / c, 5)) @ V.T
+        W = r.uniform(5 * 200).reshape(5, 200) ** power
+        return F, W / W.sum(axis=0)
+
+    @pytest.mark.parametrize("c", [3e3, 1e5, 3e6, 1e8, 1e11])
+    def test_ill_conditioned_basis_raises(self, c):
+        # before the refusal, c = 1e5 returned a weight of 3.6e-3 as 0 here
+        F, W = self._graded_probe(c, 0, 1)
+        with pytest.raises(RankDeficientBasisError, match="ill-conditioned"):
+            estimate_abundances(F, F @ W)
+
+    @pytest.mark.parametrize("power", [1, 4])
+    def test_admitted_condition_keeps_weights_exact(self, power):
+        for seed in range(20):
+            F, W = self._graded_probe(5e2, seed, power)
+            assert np.abs(estimate_abundances(F, F @ W).W - W).max() <= 1e-6
+
     def test_residuals_reported(self):
         F = SplitMix64(10).uniform(20).reshape(5, 4)
         a = F @ np.array([0.25, 0.25, 0.25, 0.25])

@@ -37,14 +37,26 @@ def test_active_backend_is_numpy():
     assert sepnmf.active_backend() == "numpy"
 
 
-def test_bench_record_parses_every_judge_verdict(tmp_path):
-    # tools/bench_record.py reads compare.py's judge report, a text format it
-    # does not own: a change to that format must fail here, not drop verdicts
+def _bench_record():
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     spec = importlib.util.spec_from_file_location(
         "bench_record", os.path.join(root, "tools", "bench_record.py"))
     bench_record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_record)
+    return bench_record
+
+
+def test_bench_record_states_the_runs_blas_threads():
+    # every BENCH_*.json must state the BLAS thread count the runs used, which
+    # perfbench/run.py pins itself, not the recorder's unpinned environment
+    env = _bench_record().environment()
+    assert env["pinned_env"]["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_bench_record_parses_every_judge_verdict(tmp_path):
+    # tools/bench_record.py reads compare.py's judge report, a text format it
+    # does not own: a change to that format must fail here, not drop verdicts
+    bench_record = _bench_record()
     log = tmp_path / "log.jsonl"
     with open(log, "w") as fh:
         for p in range(10):

@@ -11,13 +11,15 @@ Runs perfbench/compare.py with the given options and a fresh log, then
   judge    the judge's exit status and its report, line by line;
   env      the environment of the recording process: sepnmf's active
            backend (imported from this checkout's src/), OPENBLAS_NUM_THREADS,
-           os.cpu_count() and the numpy and Python versions. Every benchmark
-           run also pins BLAS to one thread itself (perfbench/run.py).
+           os.cpu_count() and the numpy and Python versions; and pinned_env,
+           the BLAS environment every benchmark run sets for itself
+           (PINNED_ENV of perfbench/run.py, read from its source).
 
 The exit status is the judge's: 0 when every verdict is "improved" or
 "no change" and no workload's share of failed ops rose.
 """
 
+import ast
 import json
 import os
 import platform
@@ -28,6 +30,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMPARE = os.path.join(ROOT, "perfbench", "compare.py")
+RUN = os.path.join(ROOT, "perfbench", "run.py")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
@@ -54,10 +57,23 @@ def parse_judge(text):
     return verdicts
 
 
+def pinned_env():
+    """The PINNED_ENV dict of perfbench/run.py, which compare.py runs on both
+    sides. Parsed, not imported: importing run.py would pin this process."""
+    with open(RUN) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        names = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and names == ["PINNED_ENV"]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{RUN} assigns no PINNED_ENV")
+
+
 def environment():
     return {
         "backend": sepnmf.active_backend(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "pinned_env": pinned_env(),
         "cpu_count": os.cpu_count(),
         "numpy": np.__version__,
         "python": platform.python_version(),

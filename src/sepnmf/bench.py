@@ -21,7 +21,7 @@ import numpy as np
 
 from .io import write_csv_rows, write_json
 from .linalg import spectral_norm
-from .lowrank import APPROX_NAMES, approximate, spa_rank_approx
+from .lowrank import APPROX_NAMES, approximate, gram_matrix
 from .metrics import recovery_rate
 from .reports import stage
 from .select import DEFAULT_BOUNDARY_TOL, DEFAULT_EPS, Analysis
@@ -82,8 +82,9 @@ def _fig1_worker(task):
     rows = []
     for t in deltas:
         inst = rescale_noise(base, t * smin)
+        gram = gram_matrix(inst.A)  # one A A^T for every q on this matrix
         for q in q_list:
-            ap = spa_rank_approx(inst.A, k, q)
+            ap = approximate(inst.A, k, "spa", q, gram=gram)
             rows.append(
                 {
                     "delta_mult": t,

@@ -56,14 +56,13 @@ def write_matrix(path, A, fmt=None):
     fmt = matrix_format(path, fmt)
     if fmt == "mtx":
         lines = ["%%MatrixMarket matrix array real general", f"{A.shape[0]} {A.shape[1]}"]
-        lines.extend(repr(float(v)) for v in A.T.ravel())
+        lines.extend(map(repr, A.T.ravel().tolist()))
         payload = ("\n".join(lines) + "\n").encode()
     elif fmt == "bin":
         payload = BIN_MAGIC + struct.pack("<QQ", *A.shape) + A.astype("<f8").tobytes()
     else:
-        payload = (
-            "\n".join(",".join(repr(float(v)) for v in row) for row in A) + "\n"
-        ).encode()
+        # tolist() yields Python floats, whose repr round-trips exactly
+        payload = ("\n".join(",".join(map(repr, row)) for row in A.tolist()) + "\n").encode()
     _atomic_write(path, payload)
 
 

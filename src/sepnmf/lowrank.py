@@ -2,8 +2,8 @@
 
 approximate(A, k, method, q) runs each engine through the same timed
 stages: seed, power (q rounds of subspace iteration), form_b
-(B = Q Q^T A) and error_norm (the measured spectral norm of A - B).
-The engines differ only in their seed:
+(B = Q Q^T A) and error_norm (error2 = ||A - B||_2). The engines differ
+only in their seed:
 
   spa   the k columns picked by successive projection (deterministic);
   rand  A times a seeded Gaussian test matrix with k + oversample
@@ -23,6 +23,10 @@ the rounds start over on the alternating chain from the orthonormalized
 start; the chain multiplies by A^T and then by A and orthonormalizes
 after each. Tall inputs always take the chain.
 
+A wide approximation forms G once (gram_matrix) and reads its error from
+it too: A - B = P A for P = I - Q Q^T, so error2^2 = lambda_max(P G P) and no
+d x m residual is formed, unless _residual_norm's accuracy guard refuses.
+
 spa_rank_approx and rand_subspace_approx are shorthands for the first
 two. The bound diagnostics (bound_report) evaluate every quantity of
 the approximation-error analysis on a concrete spa run.
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadRankError, NonFiniteError
+from .errors import BadRankError, NonFiniteError, RankDeficientError
 from .linalg import (
     as_matrix,
     orthonormalize,
@@ -49,6 +53,11 @@ from .spa import spa_select
 
 _RANK_B_REL = 1e-10
 _RITZ_REL = 1e-10  # Gram rounds resolve the top k when lambda_k >= this * lambda_1
+# error2 is read from G when lambda_max(P G P) >= this * ||G||_F (a cheaper and
+# stricter bar than lambda_max(G)): G's roundoff of a few eps ||G|| then moves
+# error2 by about eps / (2 * 1e-6) = 1e-10 relative. approx-wide sits at
+# lambda / lambda_max(G) = 8.7e-6, so a bar much above 1e-6 loses its gain.
+_GRAM_ERR_REL = 1e-6
 _SINGULAR_G1_REL = 1e-12
 BOUND_MARGIN_CONSTANT = 20164.0  # = 142^2, the squared margin constant of the error bound
 
@@ -89,7 +98,7 @@ class BoundReport:
     singular_z1: bool = False
 
 
-def subspace_basis(A, start, q):
+def subspace_basis(A, start, q, *, gram=None):
     """Orthonormal basis of range((A A^T)^q @ start), stabilized.
 
     Orthonormalizes the start, then runs q power rounds from it: on
@@ -97,11 +106,13 @@ def subspace_basis(A, start, q):
     on the alternating chain. Orthonormalizing once per Gram round (q + 1
     times in total) or after every multiplication by A or A^T on the
     chain (2q + 1 times) keeps the iterate representable for large q.
-    The column count can shrink if the iterate loses rank.
+    The column count can shrink if the iterate loses rank. gram is
+    gram_matrix(A) when the caller already has it; the basis is the same
+    bytes with or without it.
     """
     Q = orthonormalize(start)
     if gram_rounds_pay(A.shape, Q.shape[1], q):
-        Z = _gram_rounds(A, Q, q)
+        Z = _gram_rounds((gram_matrix(A) if gram is None else gram)[0], Q, q)
         if Z is not None:
             return Z
     for _ in range(q):
@@ -119,11 +130,17 @@ def gram_rounds_pay(shape, k, q):
     return d <= m and d * d * m + 2 * q * d * d * k < 4 * q * d * m * k
 
 
-def _gram_rounds(A, Q, q):
+def gram_matrix(A):
+    """(G, e): G = S S^T for (S, e) = pow2_scaled(A), so A A^T = 4**e G and G
+    neither overflows nor underflows. A wide approximation forms it once and
+    shares it between its power rounds and its error measurement."""
+    S, e = pow2_scaled(A)
+    return S @ S.T, e
+
+
+def _gram_rounds(G, Q, q):
     """q rounds Q <- orthonormalize(G @ Q), or None when one drops a column or
     the Ritz values of Q^T G Q end below _RITZ_REL of the largest."""
-    S = pow2_scaled(A)[0]  # G neither overflows nor underflows
-    G = S @ S.T
     k = Q.shape[1]
     for _ in range(q):
         Q = orthonormalize(G @ Q)
@@ -133,13 +150,16 @@ def _gram_rounds(A, Q, q):
     return Q if ritz[0] >= _RITZ_REL * ritz[-1] else None
 
 
-def approximate(A, k, method, q, oversample=0, seed=0):
+def approximate(A, k, method, q, oversample=0, seed=0, *, gram=None):
     """Rank-k approximation of A by the engine `method`, one of APPROX_NAMES.
 
     Stage times go to `timings` under the seed's key (`spa`, `sample` or
     `svd`), `power`, `form_b` and `error_norm`. oversample and seed shape
     the rand sketch only; svd ignores q. A rank collapse during iteration
-    is flagged in rank_collapsed, not raised.
+    is flagged in rank_collapsed, not raised. A wide A's gram_matrix is
+    formed by the first stage that needs it (power when gram_rounds_pay,
+    else error_norm), or passed in as gram by a caller that has it; the
+    result is the same bytes either way.
     """
     if method not in _SEED_STAGE:
         raise ValueError(f"unknown approximation {method!r}; expected one of {APPROX_NAMES}")
@@ -163,17 +183,23 @@ def approximate(A, k, method, q, oversample=0, seed=0):
             start = A @ SplitMix64(seed).normal_matrix(m, k + oversample)
         else:
             f = svd_truncated(A, k)
+            if f.S[0] == 0.0:
+                raise RankDeficientError(f"A is zero: it has rank 0 < k={k}")
             Q, B = f.U, f.U @ (f.S[:, None] * f.V.T)
     if method != "svd":
         with stage(timings, "power"):
-            Q = subspace_basis(A, start, q)
+            if gram is None and gram_rounds_pay(A.shape, start.shape[1], q):
+                gram = gram_matrix(A)
+            Q = subspace_basis(A, start, q, gram=gram)
             if Q.shape[1] > k:
                 # truncate the oversampled sketch back to rank k (top-k SVD of Q^T A)
                 Q = np.ascontiguousarray(Q @ svd_truncated(Q.T @ A, k).U)
         with stage(timings, "form_b"):
             B = Q @ (Q.T @ A)
     with stage(timings, "error_norm"):
-        err = spectral_norm(A - B)
+        if gram is None and d <= m:
+            gram = gram_matrix(A)
+        err = _residual_norm(A, B, Q, gram)
     return RankKApprox(
         Q=Q,
         B=B,
@@ -183,6 +209,19 @@ def approximate(A, k, method, q, oversample=0, seed=0):
         rank_collapsed=Q.shape[1] < k,
         timings=timings,
     )
+
+
+def _residual_norm(A, B, Q, gram):
+    """||A - B||_2 for B = Q Q^T A, Q orthonormal: 2**e sqrt(lambda_max(P G P))
+    from gram = (G, e) when that clears _GRAM_ERR_REL * ||G||_F, else (and
+    for tall A, gram None) the spectral norm of the explicit residual."""
+    if gram is not None:
+        G, e = gram
+        P = np.eye(Q.shape[0]) - Q @ Q.T
+        lam = float(np.linalg.eigvalsh(P @ G @ P)[-1])
+        if lam >= _GRAM_ERR_REL * float(np.linalg.norm(G)):
+            return float(np.ldexp(np.sqrt(lam), e))
+    return spectral_norm(A - B)
 
 
 def spa_rank_approx(A, k, q):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import BadRankError, RankDeficientError
 from .linalg import as_matrix, pow2_scaled, psd_sqrt, svd_full, svd_truncated
-from .lowrank import subspace_basis
+from .lowrank import gram_matrix, gram_rounds_pay, subspace_basis
 from .mvee import DEFAULT_EPS, ellipsoid_support, solve_mvee
 from .reports import stage
 from .spa import spa_select
@@ -112,9 +112,12 @@ class Analysis:
         return self._memo("seed", lambda: spa_select(self.A, self.k))
 
     def _basis(self, q):
-        """subspace_basis(A, A(I0), q), once per q."""
+        """subspace_basis(A, A(I0), q), once per q; every q whose rounds run
+        on G = A A^T shares one gram_matrix(A)."""
         return self._memo(("basis", q), lambda: subspace_basis(
-            self.A, np.ascontiguousarray(self.A[:, self._seed()]), q))
+            self.A, np.ascontiguousarray(self.A[:, self._seed()]), q,
+            gram=self._memo("gram", lambda: gram_matrix(self.A))
+            if gram_rounds_pay(self.A.shape, self.k, q) else None))
 
     def select(self, method, q=None, boundary_tol=DEFAULT_BOUNDARY_TOL):
         """Run the selector named `method` (a key of SELECTORS) on A.

@@ -7,6 +7,7 @@ from sepnmf import bench
 from sepnmf.bench import _fig2_worker, fig1_suite, fig2_suite, run_suites, tab2_suite
 from sepnmf.cli import _method_list, main
 from sepnmf.errors import SepnmfError
+from sepnmf.lowrank import spa_rank_approx
 from sepnmf.select import DEFAULT_BOUNDARY_TOL, DEFAULT_EPS
 
 WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
@@ -21,6 +22,18 @@ def test_fig1_rows_and_upper_bound(tmp_path):
         assert upper == delta
         if q == 10:
             assert mean_err <= 1.25 * delta + 1e-8
+
+
+def test_fig1_worker_forms_one_gram_matrix_per_matrix(monkeypatch):
+    formed, form = [], bench.gram_matrix
+    monkeypatch.setattr(bench, "gram_matrix", lambda A: formed.append(1) or form(A))
+    task = (20, 300, 4, 3, (1, 2, 10), (0.0, 1.0))
+    rows = bench._fig1_worker(task)
+    assert len(formed) == 2  # one per noise level, shared by its three q
+    base = bench.generate_instance(20, 300, 4, 1.0, 3)
+    for row in rows:
+        A = bench.rescale_noise(base, row["delta_mult"] * bench.sigma_min(base.F)).A
+        assert row["abs_error"] == spa_rank_approx(A, 4, row["q"]).error2
 
 
 def test_fig2_rows_structure(tmp_path):

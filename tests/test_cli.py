@@ -79,6 +79,17 @@ class TestApprox:
             norm = float(np.linalg.norm(A, 2))
             assert rep["records"][0]["abs_error"] <= 1e-10 * norm
 
+    def test_zero_matrix_is_a_typed_error_for_every_method(self, tmp_path):
+        path = str(tmp_path / "z.bin")
+        write_matrix(path, np.zeros((4, 6)))
+        for method in ("spa", "rand", "svd"):
+            rep_path = tmp_path / f"rep_{method}.json"
+            r = run_cli("approx", path, "-k", "1", "--q", "1", "--method", method,
+                        "--report", str(rep_path))
+            assert r.returncode == 3, (method, r.stderr)
+            assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+            assert read_json(str(rep_path))["error"] == r.stderr[len("error: "):].strip()
+
     def test_bounds_attached_with_truth(self, instance_dir, tmp_path):
         rep_path = str(tmp_path / "rep.json")
         r = run_cli("approx", str(instance_dir / "A.mtx"), "-k", "4", "--q", "2",

@@ -41,6 +41,21 @@ def test_round_trip(tmp_path, fmt):
     assert np.array_equal(A, B)  # repr/binary both round-trip doubles exactly
 
 
+def test_text_writers_format_each_entry_by_its_repr(tmp_path):
+    # the bytes of formatting one numpy scalar at a time
+    A = np.array([[-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300],
+                  [3.0, -7.0, 0.1, 1.0 + 2**-52, 0.0]])
+    want = {
+        "csv": "\n".join(",".join(repr(float(v)) for v in row) for row in A) + "\n",
+        "mtx": "\n".join(["%%MatrixMarket matrix array real general", "2 5"]
+                         + [repr(float(v)) for v in A.T.ravel()]) + "\n",
+    }
+    for fmt, text in want.items():
+        path = tmp_path / f"a.{fmt}"
+        write_matrix(str(path), A)
+        assert path.read_bytes() == text.encode()
+
+
 def test_binary_round_trip_bitwise(tmp_path):
     A = SplitMix64(2).normal_matrix(9, 4)
     path = str(tmp_path / "a.bin")

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -151,6 +152,76 @@ class TestPowerRounds:
         start = SplitMix64(24).normal_matrix(40, k)
         assert gram_rounds_pay(A.shape, k, 4)
         assert subspace_basis(A, start, 4).tobytes() == _chain(A, orthonormalize(start), 4).tobytes()
+
+
+def _explicit_residual_norm_used(monkeypatch):
+    """Records each spectral_norm call the error stage makes: its fallback."""
+    calls = []
+
+    def counted(M):
+        calls.append(M.shape)
+        return spectral_norm(M)
+
+    monkeypatch.setattr(lowrank, "spectral_norm", counted)
+    return calls
+
+
+class TestGramErrorNorm:
+    # (ratio, k, read from G): lambda = sigma_{k+1}^2 of _graded(ratio) against
+    # ||G||_F ~ 1 lies 16x or more above the 1e-6 bar, or 2.5x or more below it
+    @pytest.mark.parametrize(
+        "ratio, k, gram",
+        [(1e-2, 1, True), (1e-2, 5, True), (1e-2, 6, False), (1e-4, 3, True), (1e-4, 4, False),
+         (1e-6, 2, True), (1e-6, 3, False), (1e-10, 1, True), (1e-10, 2, False)],
+    )
+    @pytest.mark.parametrize("method", APPROX_NAMES)
+    def test_graded_spectrum_matches_the_explicit_residual(self, monkeypatch, ratio, k, gram,
+                                                           method):
+        A = _graded(ratio)
+        calls = _explicit_residual_norm_used(monkeypatch)
+        ap = approximate(A, k, method, 3)
+        assert (not calls) == gram
+        want = float(np.linalg.norm(A - ap.B, 2))
+        assert abs(ap.error2 - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("method", APPROX_NAMES)
+    def test_tall_input_takes_the_explicit_residual(self, monkeypatch, method):
+        A = np.ascontiguousarray(_graded(1e-2).T)
+        calls = _explicit_residual_norm_used(monkeypatch)
+        ap = approximate(A, 3, method, 2)
+        assert calls == [A.shape]
+        want = float(np.linalg.norm(A - ap.B, 2))
+        assert abs(ap.error2 - want) <= 1e-9 * want
+
+    def test_scaled_input_undoes_the_exponent(self):
+        A = _graded(1e-2)
+        ap = approximate(A, 3, "spa", 2)
+        for e in (-700, 600):
+            scaled = approximate(np.ldexp(A, e), 3, "spa", 2)
+            assert scaled.error2 == np.ldexp(ap.error2, e)
+
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    def test_gram_handed_in_changes_nothing(self, q):
+        A = _graded(1e-2)
+        start = A[:, :6]
+        gram = lowrank.gram_matrix(A)
+        assert subspace_basis(A, start, q, gram=gram).tobytes() == subspace_basis(A, start, q).tobytes()
+        for method in APPROX_NAMES:
+            got, want = approximate(A, 6, method, q, gram=gram), approximate(A, 6, method, q)
+            assert got.Q.tobytes() == want.Q.tobytes() and got.B.tobytes() == want.B.tobytes()
+            assert got.error2 == want.error2
+
+    @pytest.mark.parametrize("method", ["spa", "rand"])
+    def test_no_residual_matrix_is_allocated(self, method):
+        # the parent's A - B doubled the peak: B and the residual, 2.1 x A
+        A = SplitMix64(31).normal_matrix(100, 20000)
+        tracemalloc.start()
+        try:
+            approximate(A, 10, method, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * A.nbytes
 
 
 class TestRandSubspaceApprox:

@@ -262,6 +262,20 @@ def test_shared_basis_matches_fresh_basis(monkeypatch, d, m, k):
         assert len(seen) == 2 and seen[0] == seen[1], q
 
 
+def test_analysis_forms_one_gram_matrix(monkeypatch):
+    # at 50 x 2000, k = 10, q = 1 runs the chain and q >= 2 Gram rounds, all
+    # on the one G of the matrix
+    inst = generate_instance(50, 2000, 10, 0.6, seed=8)
+    formed, form = [], select_module.gram_matrix
+    monkeypatch.setattr(select_module, "gram_matrix", lambda A: formed.append(1) or form(A))
+    analysis = Analysis(inst.A, 10)
+    analysis.select("mpspa", 1)
+    assert formed == []
+    for q in (2, 5, 10, 15):
+        analysis.select("merspa", q)
+    assert formed == [1]
+
+
 def test_shared_results_do_not_alias_the_analysis():
     # spa's indices are the shared first pass
     inst = generate_instance(12, 90, 5, 0.6, seed=8)

@@ -104,6 +104,14 @@ CORPUS = (
         ("approx-rand-rank-deficient", ["approx", os.path.join("..", "instance-rank4", "A.mtx"),
                                         "-k", "6", "--q", "2", "--method", "rand",
                                         "--report", "report.json"]),
+    ]
+    + [
+        # an all-zero 4 x 6 matrix: every engine exits 3 with a typed error
+        (f"approx-{method}-zero", ["approx", os.path.join("..", "zero", "A.bin"), "-k", "1",
+                                   "--q", "1", "--method", method, "--report", "report.json"])
+        for method in ("spa", "rand", "svd")
+    ]
+    + [
         # a truth file whose delta is a string: exit 3 naming the file
         ("approx-bounds-bad-delta", ["approx", os.path.join(INSTANCE, "A.mtx"), "-k", "4",
                                      "--bounds", "--truth",
@@ -175,6 +183,12 @@ def _write_scaled_cube(cube_dir):
     write_matrix(os.path.join(cube_dir, "A-2p530.bin"), np.ldexp(A, 530))
 
 
+def _write_zero_matrix(zero_dir):
+    """zero/A.bin: the all-zero 4 x 6 matrix."""
+    os.makedirs(zero_dir, exist_ok=True)
+    write_matrix(os.path.join(zero_dir, "A.bin"), np.zeros((4, 6)))
+
+
 def _write_bad_truth(instance_dir):
     """A copy of the instance's meta.json whose delta is a string."""
     with open(os.path.join(instance_dir, "meta.json")) as fh:
@@ -208,6 +222,7 @@ def _strip_file(path):
 
 def run_corpus(out_dir):
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    _write_zero_matrix(os.path.join(out_dir, "zero"))
     for name, argv in CORPUS:
         cwd = os.path.join(out_dir, name)
         os.makedirs(cwd, exist_ok=True)

@@ -12,6 +12,7 @@ white = abundance 1. All writes are atomic (temp file + rename).
 
 import json
 import os
+import stat
 import struct
 import tempfile
 import warnings
@@ -111,10 +112,20 @@ def read_matrix(path, fmt=None):
             if len(header) != 16:
                 raise BadShapeError(f"{path}: truncated header")
             d, m = struct.unpack("<QQ", header)
-            payload = fh.read()
-        if min(d, m) < 1 or len(payload) != 8 * d * m:
-            raise BadShapeError(f"{path}: header says {d} x {m}, got {len(payload)} payload bytes")
-        A = np.frombuffer(payload, dtype="<f8").reshape(d, m).copy()
+            # a regular file's size is checked against the header before A is
+            # allocated, then read straight into it; a pipe is read whole first
+            st = os.fstat(fh.fileno())
+            payload = None if stat.S_ISREG(st.st_mode) else fh.read()
+            size = st.st_size - fh.tell() if payload is None else len(payload)
+            if min(d, m) < 1 or size != 8 * d * m:
+                raise BadShapeError(f"{path}: header says {d} x {m}, got {size} payload bytes")
+            if payload is not None:
+                A = np.frombuffer(payload, dtype="<f8").reshape(d, m).copy()
+            else:
+                A = np.empty((d, m), dtype="<f8")
+                size = fh.readinto(A)
+                if size != A.nbytes:  # the file shrank after fstat
+                    raise BadShapeError(f"{path}: header says {d} x {m}, got {size} payload bytes")
     else:
         try:
             with open_input(path) as fh:

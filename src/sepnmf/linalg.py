@@ -79,7 +79,11 @@ def spectral_norm(A):
     A is not copied unless its scale needs rescaling."""
     A = as_matrix(A)
     A, e = pow2_scaled(A)
-    G = A.T @ A if A.shape[0] > A.shape[1] else A @ A.T
+    return gram_norm(A.T @ A if A.shape[0] > A.shape[1] else A @ A.T, e)
+
+
+def gram_norm(G, e):
+    """2**e sqrt(lambda_max(G)): ||A||_2 for G = 4**-e A A^T (or A^T A)."""
     return float(np.ldexp(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)), e))
 
 

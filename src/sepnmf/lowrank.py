@@ -52,7 +52,7 @@ from .rng import SplitMix64
 from .spa import spa_select
 
 _RANK_B_REL = 1e-10
-_RITZ_REL = 1e-10  # Gram rounds resolve the top k when lambda_k >= this * lambda_1
+_RITZ_REL = 1e-10  # G resolves the top k when lambda_k >= this * lambda_1 (gram_resolves)
 # error2 is read from G when lambda_max(P G P) >= this * ||G||_F (a cheaper and
 # stricter bar than lambda_max(G)): G's roundoff of a few eps ||G|| then moves
 # error2 by about eps / (2 * 1e-6) = 1e-10 relative. approx-wide sits at
@@ -146,8 +146,15 @@ def _gram_rounds(G, Q, q):
         Q = orthonormalize(G @ Q)
         if Q.shape[1] < k:
             return None
-    ritz = np.linalg.eigvalsh(Q.T @ G @ Q)
-    return Q if ritz[0] >= _RITZ_REL * ritz[-1] else None
+    return Q if gram_resolves(np.linalg.eigvalsh(Q.T @ G @ Q)) else None
+
+
+def gram_resolves(lam):
+    """Whether the ascending eigenvalues lam of a k x k section of G = A A^T
+    resolve A's top k: lam[0] >= _RITZ_REL * lam[-1] > 0. G's roundoff is of
+    order eps * lambda_1, so below that bar its eigenpairs stop standing for
+    A's singular triples."""
+    return lam[0] >= _RITZ_REL * lam[-1] > 0
 
 
 def approximate(A, k, method, q, oversample=0, seed=0, *, gram=None):

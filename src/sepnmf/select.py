@@ -4,7 +4,10 @@ Every selector is successive projection on a transformed matrix, built
 from stages that an Analysis(A, k, eps) computes once per matrix and
 shares between the methods run on it:
 
-  compress  svd       P = Sigma_k V_k^T from the truncated SVD of A.
+  compress  svd       P = U_k^T A = Sigma_k V_k^T, A's top k singular pairs:
+                      on a wide A from eigh of the shared G = A A^T when
+                      lambda_k >= 1e-10 lambda_1 (lowrank.gram_resolves, as
+                      for the Gram power rounds), else svd_truncated(A, k).
             subspace  P = Q^T A, Q the subspace-iteration basis seeded by
                       the first-pass picks I0 = spa_select(A, k) (power
                       exponent q; subspace_basis chooses how the rounds run).
@@ -23,8 +26,9 @@ are I0), `pspa` is svd + mvee + spa, and its modification `mpspa` swaps
 the SVD for the subspace basis; `erspa` / `merspa` are the same two with
 boundary picks; `prewhiten` is svd + sigma and `spaspa` seed-svd + sigma.
 So pspa, erspa and prewhiten share one SVD, and pspa and erspa one
-ellipsoid, as do mpspa and merspa at equal q. `select(A, k, method)` runs
-one method on its own Analysis; the `*_select` functions are shorthands.
+ellipsoid, as do mpspa and merspa at equal q; the svd stage and the Gram
+rounds share one G. `select(A, k, method)` runs one method on its own
+Analysis; the `*_select` functions are shorthands.
 
 Indices refer to columns of the original matrix and do not depend on its scale.
 For spaspa, pspa and mpspa the index set is the contract, not its order:
@@ -39,7 +43,7 @@ import numpy as np
 
 from .errors import BadRankError, RankDeficientError
 from .linalg import as_matrix, pow2_scaled, psd_sqrt, svd_full, svd_truncated
-from .lowrank import gram_matrix, gram_rounds_pay, subspace_basis
+from .lowrank import gram_matrix, gram_resolves, gram_rounds_pay, subspace_basis
 from .mvee import DEFAULT_EPS, ellipsoid_support, solve_mvee
 from .reports import stage
 from .spa import spa_select
@@ -111,13 +115,30 @@ class Analysis:
         """First-pass picks I0 = spa_select(A, k)."""
         return self._memo("seed", lambda: spa_select(self.A, self.k))
 
+    def _gram(self):
+        """gram_matrix(A), once: the svd stage and every q whose power rounds
+        run on G = A A^T share it."""
+        return self._memo("gram", lambda: gram_matrix(self.A))
+
     def _basis(self, q):
-        """subspace_basis(A, A(I0), q), once per q; every q whose rounds run
-        on G = A A^T shares one gram_matrix(A)."""
+        """subspace_basis(A, A(I0), q), once per q."""
         return self._memo(("basis", q), lambda: subspace_basis(
             self.A, np.ascontiguousarray(self.A[:, self._seed()]), q,
-            gram=self._memo("gram", lambda: gram_matrix(self.A))
-            if gram_rounds_pay(self.A.shape, self.k, q) else None))
+            gram=self._gram() if gram_rounds_pay(self.A.shape, self.k, q) else None))
+
+    def _top_factors(self):
+        """(U_k, S_k, P = U_k^T A = S_k V_k^T) for the svd stage: from eigh(G)
+        on a wide A whose G resolves the top k (gram_resolves), else from
+        svd_truncated(A, k)."""
+        A, k = self.A, self.k
+        if A.shape[0] <= A.shape[1]:
+            G, e = self._gram()
+            lam, U = np.linalg.eigh(G)
+            if gram_resolves(lam[-k:]):
+                U, lam = U[:, :-k - 1:-1], lam[:-k - 1:-1]
+                return U, np.ldexp(np.sqrt(lam), e), U.T @ A
+        f = svd_truncated(A, k)
+        return f.U, f.S, np.ascontiguousarray(f.S[:, None] * f.V.T)
 
     def select(self, method, q=None, boundary_tol=DEFAULT_BOUNDARY_TOL):
         """Run the selector named `method` (a key of SELECTORS) on A.
@@ -144,11 +165,10 @@ class Analysis:
             compress, whiten, pick = None, None, "spa"
             notes.append("k=1: preconditioning bypassed")
 
-        # compress: P holds A's columns in k coordinates, f the SVD sigma whitens by
+        # compress: P holds A's columns in k coordinates, (U, S) the factors sigma whitens by
         if compress == "svd":
             with stage(timing, "svd"):
-                f = self._memo("svd", lambda: svd_truncated(A, k))
-                P = self._memo(("P", compress, q), lambda: np.ascontiguousarray(f.S[:, None] * f.V.T))
+                U, S, P = self._memo("svd", self._top_factors)
         elif compress == "subspace":
             with stage(timing, "subspace"):
                 Q = self._basis(q)
@@ -160,6 +180,7 @@ class Analysis:
                 idx0 = self._seed()
             with stage(timing, "svd"):
                 f = self._memo("seed-svd", lambda: svd_full(np.ascontiguousarray(A[:, idx0])))
+            U, S = f.U, f.S
 
         # whiten: the pick stage works on C @ X
         C, X = None, A
@@ -171,12 +192,12 @@ class Analysis:
             X = P
         elif whiten == "sigma":
             with stage(timing, "svd"):
-                if f.S[-1] <= 1e-12 * f.S[0]:
+                if S[-1] <= 1e-12 * S[0]:
                     raise BadRankError(
                         f"{method}: sigma_{k} is numerically zero" if compress == "svd"
                         else f"{method}: seed submatrix is numerically rank deficient"
                     )
-                C = np.ascontiguousarray(f.U.T / f.S[:, None])
+                C = np.ascontiguousarray(U.T / S[:, None])
 
         if pick == "spa":
             with stage(timing, "spa"):

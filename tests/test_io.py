@@ -80,6 +80,9 @@ def test_bad_magic_rejected(tmp_path):
 _MALFORMED = {
     "short.bin": BIN_MAGIC + struct.pack("<QQ", 3, 4) + b"\x00" * 40,  # 5 of 12 entries
     "header.bin": BIN_MAGIC + b"\x03\x00\x00",
+    "extra.bin": BIN_MAGIC + struct.pack("<QQ", 3, 4) + b"\x00" * 104,  # 13 of 12 entries
+    # a header far larger than the file is refused before anything is allocated
+    "huge.bin": BIN_MAGIC + struct.pack("<QQ", 2**31, 2**31) + b"\x00" * 40,
     "size.mtx": b"%%MatrixMarket matrix array real general\n2 x\n1\n2\n",
     "ragged.csv": b"1,2,3\n4,5\n",
     # a row or column count of 0 is refused before any reshape
@@ -95,6 +98,16 @@ def test_malformed_file_raises_bad_shape(tmp_path, name):
     p = tmp_path / name
     p.write_bytes(_MALFORMED[name])
     with pytest.raises(BadShapeError, match=name):
+        read_matrix(str(p))
+
+
+@pytest.mark.parametrize("name, size", [("short.bin", 40), ("extra.bin", 104),
+                                         ("huge.bin", 40)])
+def test_bin_payload_size_is_named(tmp_path, name, size):
+    p = tmp_path / name
+    p.write_bytes(_MALFORMED[name])
+    d, m = struct.unpack("<QQ", _MALFORMED[name][8:24])
+    with pytest.raises(BadShapeError, match=f"header says {d} x {m}, got {size} payload bytes"):
         read_matrix(str(p))
 
 

@@ -312,8 +312,8 @@ def test_grid_instance_runs_each_shared_stage_once(monkeypatch):
     methods = (("spa", None), ("pspa", None), ("mpspa", 1), ("mpspa", 15),
                ("erspa", None), ("merspa", 15), ("prewhiten", None), ("spaspa", None))
     d, m, k = 20, 150, 4
-    calls = {"svd_truncated": 0, "solve_mvee": 0, "seed": 0}
-    names = ("svd_truncated", "solve_mvee", "spa_select")
+    calls = {"svd_truncated": 0, "gram_matrix": 0, "solve_mvee": 0, "seed": 0}
+    names = ("svd_truncated", "gram_matrix", "solve_mvee", "spa_select")
     wrapped = {name: getattr(select_module, name) for name in names}
 
     def counted(name):
@@ -331,7 +331,109 @@ def test_grid_instance_runs_each_shared_stage_once(monkeypatch):
     task = (d, m, k, 3, methods, (0.5,), DEFAULT_EPS, DEFAULT_BOUNDARY_TOL, "sigmin")
     rows = bench._fig2_worker(task)
     assert len(rows) == len(methods)
-    assert calls == {"svd_truncated": 1, "solve_mvee": 3, "seed": 1}
+    # G resolves the top 4, so pspa, erspa and prewhiten take their factors
+    # from the one G that mpspa:15 and merspa:15 run on
+    assert calls == {"svd_truncated": 0, "gram_matrix": 1, "solve_mvee": 3, "seed": 1}
+
+
+def _graded_instance(ratio, seed, d=30, m=400, k=5):
+    """generate_instance(d, m, k, 1.0, seed) with its basis's singular values
+    set to geomspace(1, ratio, k) and its noise scaled to 1e-3 * ratio."""
+    inst = generate_instance(d, m, k, 1.0, seed)
+    U, _, Vt = np.linalg.svd(inst.F, full_matrices=False)
+    W = np.zeros((k, m))
+    W[:, inst.permutation] = np.concatenate([np.eye(k), inst.H], axis=1)
+    return (U * np.geomspace(1.0, ratio, k)) @ Vt @ W + 1e-3 * ratio * inst.N
+
+
+SVD_METHODS = ("pspa", "erspa", "prewhiten")
+
+
+def _jacobi_outcomes(monkeypatch, A, k):
+    """Each svd-compress method's result or (error type, message) on A, with
+    its factors from svd_truncated(A, k) as on every input G does not resolve,
+    and the number of svd_truncated and gram_matrix calls the plain run made."""
+    calls = {"svd_truncated": 0, "gram_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(select_module, name, counted(name, getattr(select_module, name)))
+    analysis = Analysis(A, k)
+    plain = {method: _outcome(lambda: analysis.select(method)) for method in SVD_METHODS}
+    made = dict(calls)
+    monkeypatch.setattr(select_module, "gram_resolves", lambda lam: False)
+    jacobi = Analysis(A, k)
+    return plain, {method: _outcome(lambda: jacobi.select(method)) for method in SVD_METHODS}, made
+
+
+@pytest.mark.parametrize("ratio", [5e-2, 1e-3, 2e-4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gram_factors_pick_the_jacobi_index_sets(monkeypatch, ratio, seed):
+    # lambda_k / lambda_1 ~ ratio^2 clears the 1e-10 bar: no svd_truncated
+    plain, jacobi, calls = _jacobi_outcomes(monkeypatch, _graded_instance(ratio, seed), 5)
+    assert calls == {"svd_truncated": 0, "gram_matrix": 1}
+    for method in SVD_METHODS:
+        assert sorted(plain[method].indices) == sorted(jacobi[method].indices), method
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("make, k, grams, rank", [
+    (lambda: _graded_instance(1e-6, 1), 5, 1, None),
+    (lambda: _graded_instance(1e-7, 1), 5, 1, None),
+    (lambda: generate_instance(10, 60, 3, 0.0, seed=5).A, 4, 1, 3),
+    (lambda: generate_instance(30, 400, 3, 0.0, seed=5).A, 5, 1, 3),
+    (lambda: generate_instance(50, 2000, 8, 0.0, seed=5).A, 10, 1, 8),
+    (lambda: generate_instance(60, 40, 5, 0.5, seed=3).A, 5, 0, None),
+], ids=["graded-1e-6", "graded-1e-7", "rank3-10x60", "rank3-30x400", "rank8-50x2000", "tall"])
+def test_svd_stage_is_the_jacobi_svd_below_the_bar_and_on_tall_input(
+        monkeypatch, make, k, grams, rank):
+    # lambda_k / lambda_1 below 1e-10 (ratio^2, or roundoff at rank < k):
+    # G is formed and refused; a tall input forms none
+    plain, jacobi, calls = _jacobi_outcomes(monkeypatch, make(), k)
+    assert calls == {"svd_truncated": 1, "gram_matrix": grams}
+    for method in SVD_METHODS:
+        _assert_same_outcome(plain[method], jacobi[method])
+    if rank is not None:
+        assert plain["pspa"] == (RankDeficientError,
+                                 f"residual norms exhausted after {rank} of {k} rounds")
+        assert plain["prewhiten"] == (BadRankError, f"prewhiten: sigma_{k} is numerically zero")
+
+
+def _graded_spectrum(ratio, tail, d, m, k, seed):
+    """(A, s): d x m with sigma_1..sigma_k = geomspace(1, ratio, k) and the
+    rest falling tenfold from tail * ratio."""
+    U = np.linalg.qr(SplitMix64(seed).normal_matrix(d, d))[0]
+    V = np.linalg.qr(SplitMix64(seed + 1).normal_matrix(m, d))[0]
+    s = np.concatenate([np.geomspace(1.0, ratio, k), tail * ratio * np.geomspace(1.0, 0.1, d - k)])
+    return np.ascontiguousarray((U * s) @ V.T), s
+
+
+@pytest.mark.parametrize("d, m, k", [(10, 60, 4), (30, 400, 5), (50, 2000, 10)])
+@pytest.mark.parametrize("ratio", [1e-1, 1e-3, 3e-5])
+@pytest.mark.parametrize("tail", [0.0, 0.5, 0.9])
+def test_gram_factors_span_the_jacobi_subspace(d, m, k, ratio, tail):
+    # sin of the largest angle between range(U_k) from G and from the Jacobi
+    # SVD, against eps sigma_1^2 / (sigma_k^2 - sigma_{k+1}^2); P = U_k^T A
+    A, s = _graded_spectrum(ratio, tail, d, m, k, seed=5)
+    U, S, P = Analysis(A, k)._top_factors()
+    f = svd_truncated(A, k)
+    assert P.tobytes() == np.ascontiguousarray(U.T @ A).tobytes()
+    gap = np.finfo(float).eps * s[0] ** 2 / (s[k - 1] ** 2 - s[k] ** 2)
+    assert np.linalg.norm(U - f.U @ (f.U.T @ U), 2) <= 8 * gap
+    # the pairs come in the same order: sigma_j with +-u_j
+    np.testing.assert_allclose(S, f.S, rtol=8 * gap)
+    np.testing.assert_allclose(np.abs(np.sum(U * f.U, axis=0)), 1.0, atol=8 * gap)
 
 
 # fixed noisy instances: (d, m, k, noise in units of sigma_min(F), seed)

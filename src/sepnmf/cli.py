@@ -30,7 +30,7 @@ from .io import (
     write_pgm,
 )
 from .linalg import gram_norm, spectral_norm
-from .lowrank import APPROX_NAMES, approximate, bound_report, gram_matrix
+from .lowrank import APPROX_NAMES, approximate, bound_report, carries_gram, gram_matrix
 from .metrics import estimate_abundances, recovery_rate, spectral_angle_distance
 from .reports import ExperimentReport, stage, write_report
 from .rng import RNG_NAME
@@ -276,7 +276,7 @@ def _load_truth(path, A):
 def cmd_approx(args):
     A = read_matrix(args.matrix, args.format)
     timing, gram = {}, None
-    if A.shape[0] <= A.shape[1]:
+    if carries_gram(A):
         with stage(timing, "gram"):  # one A A^T for the approximation and ||A||_2
             gram = gram_matrix(A)
     ap = approximate(A, args.k, args.method, args.q, args.oversample, args.seed, gram=gram)

@@ -11,21 +11,19 @@ only in their seed:
   svd   the truncated SVD, which forms B = U_k S_k V_k^T itself: the
         optimal rank-k reference for the other two.
 
-The power stage is subspace_basis, the one place that chooses how its
-rounds run. A power round maps Q to an orthonormal basis of A A^T Q. On
-a wide d x m input whose flop counts favour it (gram_rounds_pay: d^2 m
-to form G = A A^T once and 2 d^2 k a round, against 4 d m k a round for
-the alternating chain), the rounds multiply by G. G carries roundoff of
-order eps * sigma_1^2, so it loses the directions whose sigma_j / sigma_1
-falls below about sqrt(eps) (Halko, Martinsson & Tropp, SIAM Rev. 2011,
-4.5). When the Gram rounds drop a column or leave the top k unresolved,
-the rounds start over on the alternating chain from the orthonormalized
-start; the chain multiplies by A^T and then by A and orthonormalizes
-after each. Tall inputs always take the chain.
+The power stage is subspace_basis. A power round maps Q to an
+orthonormal basis of A A^T Q. A wide d x m input (d <= m, carries_gram)
+with q >= 1 forms G = A A^T once (gram_matrix) and multiplies its rounds
+by G; a tall one takes the alternating chain, which multiplies by A^T and
+then by A and orthonormalizes after each. G carries roundoff of order
+eps * sigma_1^2, so it loses the directions whose sigma_j / sigma_1 falls
+below about sqrt(eps) (Halko, Martinsson & Tropp, SIAM Rev. 2011, 4.5):
+when the Gram rounds drop a column or leave the top k unresolved, the
+rounds start over on the chain from the orthonormalized start.
 
-A wide approximation forms G once (gram_matrix) and reads its error from
-it too: A - B = P A for P = I - Q Q^T, so error2^2 = lambda_max(P G P) and no
-d x m residual is formed, unless _residual_norm's accuracy guard refuses.
+A wide approximation reads its error from the same G: A - B = P A for
+P = I - Q Q^T, so error2^2 = lambda_max(P G P) and no d x m residual is
+formed, unless _residual_norm's accuracy guard refuses.
 
 spa_rank_approx and rand_subspace_approx are shorthands for the first
 two. The bound diagnostics (bound_report) evaluate every quantity of
@@ -102,7 +100,7 @@ def subspace_basis(A, start, q, *, gram=None):
     """Orthonormal basis of range((A A^T)^q @ start), stabilized.
 
     Orthonormalizes the start, then runs q power rounds from it: on
-    G = A A^T when gram_rounds_pay and the Gram rounds' guard holds, else
+    G = A A^T when A carries_gram and the Gram rounds' guard holds, else
     on the alternating chain. Orthonormalizing once per Gram round (q + 1
     times in total) or after every multiplication by A or A^T on the
     chain (2q + 1 times) keeps the iterate representable for large q.
@@ -111,7 +109,7 @@ def subspace_basis(A, start, q, *, gram=None):
     bytes with or without it.
     """
     Q = orthonormalize(start)
-    if gram_rounds_pay(A.shape, Q.shape[1], q):
+    if q and carries_gram(A):
         Z = _gram_rounds((gram_matrix(A) if gram is None else gram)[0], Q, q)
         if Z is not None:
             return Z
@@ -121,13 +119,11 @@ def subspace_basis(A, start, q, *, gram=None):
     return Q
 
 
-def gram_rounds_pay(shape, k, q):
-    """Whether q power rounds on k columns of a d x m input take fewer flops
-    on G = A A^T (d^2 m to form, 2 d^2 k a round) than on the alternating
-    chain (4 d m k a round). Never for tall inputs; more rounds or columns
-    only ever favour G."""
-    d, m = shape
-    return d <= m and d * d * m + 2 * q * d * d * k < 4 * q * d * m * k
+def carries_gram(A):
+    """Whether A is wide (d <= m), so that its stages share one gram_matrix(A):
+    the power rounds (q >= 1), the selectors' svd stage and the error norm.
+    A tall A forms no G."""
+    return A.shape[0] <= A.shape[1]
 
 
 def gram_matrix(A):
@@ -164,9 +160,9 @@ def approximate(A, k, method, q, oversample=0, seed=0, *, gram=None):
     `svd`), `power`, `form_b` and `error_norm`. oversample and seed shape
     the rand sketch only; svd ignores q. A rank collapse during iteration
     is flagged in rank_collapsed, not raised. A wide A's gram_matrix is
-    formed by the first stage that needs it (power when gram_rounds_pay,
-    else error_norm), or passed in as gram by a caller that has it; the
-    result is the same bytes either way.
+    formed by the first stage that needs it (power when q >= 1, else
+    error_norm), or passed in as gram by a caller that has it; the result
+    is the same bytes either way.
     """
     if method not in _SEED_STAGE:
         raise ValueError(f"unknown approximation {method!r}; expected one of {APPROX_NAMES}")
@@ -195,7 +191,7 @@ def approximate(A, k, method, q, oversample=0, seed=0, *, gram=None):
             Q, B = f.U, f.U @ (f.S[:, None] * f.V.T)
     if method != "svd":
         with stage(timings, "power"):
-            if gram is None and gram_rounds_pay(A.shape, start.shape[1], q):
+            if gram is None and q and carries_gram(A):
                 gram = gram_matrix(A)
             Q = subspace_basis(A, start, q, gram=gram)
             if Q.shape[1] > k:
@@ -204,7 +200,7 @@ def approximate(A, k, method, q, oversample=0, seed=0, *, gram=None):
         with stage(timings, "form_b"):
             B = Q @ (Q.T @ A)
     with stage(timings, "error_norm"):
-        if gram is None and d <= m:
+        if gram is None and carries_gram(A):
             gram = gram_matrix(A)
         err = _residual_norm(A, B, Q, gram)
     return RankKApprox(

@@ -50,28 +50,6 @@ def spectral_angle_distance(f, fhat):
     return float(np.arccos(cosang))
 
 
-def project_rows_to_simplex(V):
-    """Euclidean projection of every row of V onto {w >= 0, sum w = 1}.
-
-    Michelot's threshold iteration (Condat, Math. Program. 2016), at most k
-    passes, on the entries less their row maximum, clamped at -1 where none
-    can be in the support, so no finite scale or tie leaves the simplex.
-    """
-    V = np.asarray(V, dtype=np.float64)
-    k = V.shape[1]
-    with np.errstate(over="ignore"):  # a span past the float range gives -inf, clamped too
-        D = np.maximum(V - V.max(axis=1, keepdims=True), -1.0)
-    theta = np.maximum(-1.0, (D.sum(axis=1, keepdims=True) - 1.0) / k)
-    mask, size = np.ones(D.shape, dtype=bool), k
-    while True:
-        mask &= D > theta
-        size, last = mask.sum(axis=1, keepdims=True, dtype=np.min_scalar_type(k)), size
-        theta = (np.einsum("ij,ij->i", D, mask)[:, None] - 1.0) / size
-        if (size == last).all():
-            D -= theta
-            return np.maximum(D, 0.0, out=D)
-
-
 def _pass_cap(k):
     """Lawson & Hanson's NNLS cap of 3n iterations, for n = k weights."""
     return 3 * k

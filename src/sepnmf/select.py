@@ -10,7 +10,7 @@ shares between the methods run on it:
                       for the Gram power rounds), else svd_truncated(A, k).
             subspace  P = Q^T A, Q the subspace-iteration basis seeded by
                       the first-pass picks I0 = spa_select(A, k) (power
-                      exponent q; subspace_basis chooses how the rounds run).
+                      exponent q; on a wide A the rounds run on G).
             seed-svd  SVD of the d x k submatrix A(I0); avoids any SVD of
                       the full matrix.
   whiten    mvee      C = square root of the minimum-volume enclosing
@@ -26,9 +26,9 @@ are I0), `pspa` is svd + mvee + spa, and its modification `mpspa` swaps
 the SVD for the subspace basis; `erspa` / `merspa` are the same two with
 boundary picks; `prewhiten` is svd + sigma and `spaspa` seed-svd + sigma.
 So pspa, erspa and prewhiten share one SVD, and pspa and erspa one
-ellipsoid, as do mpspa and merspa at equal q; the svd stage and the Gram
-rounds share one G. `select(A, k, method)` runs one method on its own
-Analysis; the `*_select` functions are shorthands.
+ellipsoid, as do mpspa and merspa at equal q; on a wide A the svd stage
+and the power rounds at every q >= 1 share one G. `select(A, k, method)`
+runs one method on its own Analysis; the `*_select` functions are shorthands.
 
 Indices refer to columns of the original matrix and do not depend on its scale.
 For spaspa, pspa and mpspa the index set is the contract, not its order:
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import BadRankError, RankDeficientError
 from .linalg import as_matrix, pow2_scaled, psd_sqrt, svd_full, svd_truncated
-from .lowrank import gram_matrix, gram_resolves, gram_rounds_pay, subspace_basis
+from .lowrank import carries_gram, gram_matrix, gram_resolves, subspace_basis
 from .mvee import DEFAULT_EPS, ellipsoid_support, solve_mvee
 from .reports import stage
 from .spa import spa_select
@@ -116,22 +116,22 @@ class Analysis:
         return self._memo("seed", lambda: spa_select(self.A, self.k))
 
     def _gram(self):
-        """gram_matrix(A), once: the svd stage and every q whose power rounds
-        run on G = A A^T share it."""
-        return self._memo("gram", lambda: gram_matrix(self.A))
+        """gram_matrix(A) once when A carries_gram (is wide), else None: the
+        svd stage and the power rounds at every q >= 1 share it."""
+        return self._memo("gram", lambda: gram_matrix(self.A) if carries_gram(self.A) else None)
 
     def _basis(self, q):
         """subspace_basis(A, A(I0), q), once per q."""
         return self._memo(("basis", q), lambda: subspace_basis(
             self.A, np.ascontiguousarray(self.A[:, self._seed()]), q,
-            gram=self._gram() if gram_rounds_pay(self.A.shape, self.k, q) else None))
+            gram=self._gram() if q else None))
 
     def _top_factors(self):
         """(U_k, S_k, P = U_k^T A = S_k V_k^T) for the svd stage: from eigh(G)
         on a wide A whose G resolves the top k (gram_resolves), else from
         svd_truncated(A, k)."""
         A, k = self.A, self.k
-        if A.shape[0] <= A.shape[1]:
+        if self._gram() is not None:
             G, e = self._gram()
             lam, U = np.linalg.eigh(G)
             if gram_resolves(lam[-k:]):

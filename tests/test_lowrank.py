@@ -12,7 +12,7 @@ from sepnmf.lowrank import (
     APPROX_NAMES,
     approximate,
     bound_report,
-    gram_rounds_pay,
+    carries_gram,
     rand_subspace_approx,
     spa_rank_approx,
     subspace_basis,
@@ -111,13 +111,24 @@ def _gram(A, Q, q):
 
 
 class TestPowerRounds:
-    def test_flop_rule(self):
-        assert gram_rounds_pay((100, 20000), 10, 10)  # approx-wide
-        assert gram_rounds_pay((50, 2000), 10, 2)
-        assert not gram_rounds_pay((50, 2000), 10, 1)
-        assert not gram_rounds_pay((1000, 1500), 5, 1)
-        assert not gram_rounds_pay((20000, 100), 10, 10)  # tall: never
-        assert not gram_rounds_pay((40, 600), 6, 0)
+    def test_flop_rule(self, monkeypatch):
+        # the shape rule: a wide input with q >= 1 runs its rounds on G, a tall
+        # input or q = 0 the chain, whatever the flop counts
+        formed, form = [], lowrank.gram_matrix
+        monkeypatch.setattr(lowrank, "gram_matrix", lambda A: formed.append(1) or form(A))
+
+        def takes_gram(shape, k, q):
+            formed.clear()
+            A = SplitMix64(25).normal_matrix(*shape)
+            subspace_basis(A, A[:, :k], q)
+            return formed == [1]
+
+        assert takes_gram((100, 20000), 10, 10)  # approx-wide
+        assert takes_gram((50, 2000), 10, 2)
+        assert takes_gram((50, 2000), 10, 1)
+        assert takes_gram((1000, 1500), 5, 1)
+        assert not takes_gram((20000, 100), 10, 10)  # tall: never
+        assert not takes_gram((40, 600), 6, 0)
 
     @pytest.mark.parametrize("ratio", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-10])
     @pytest.mark.parametrize("q", [1, 3, 10])
@@ -132,12 +143,12 @@ class TestPowerRounds:
 
     @pytest.mark.parametrize(
         "A, k, q, rounds",
-        [(SplitMix64(21).normal_matrix(300, 400), 2, 1, _chain), (_graded(1e-2), 6, 3, _gram)],
+        [(SplitMix64(21).normal_matrix(400, 300), 2, 1, _chain), (_graded(1e-2), 6, 3, _gram)],
         ids=["chain", "gram"],
     )
     def test_flop_rule_picks_the_path(self, A, k, q, rounds):
         start = A[:, :k]
-        assert gram_rounds_pay(A.shape, k, q) == (rounds is _gram)
+        assert carries_gram(A) == (rounds is _gram)
         assert subspace_basis(A, start, q).tobytes() == rounds(A, orthonormalize(start), q).tobytes()
 
     @pytest.mark.parametrize(
@@ -150,7 +161,7 @@ class TestPowerRounds:
     )
     def test_guard_restarts_the_chain(self, A, k):
         start = SplitMix64(24).normal_matrix(40, k)
-        assert gram_rounds_pay(A.shape, k, 4)
+        assert carries_gram(A)
         assert subspace_basis(A, start, 4).tobytes() == _chain(A, orthonormalize(start), 4).tobytes()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import simplex_lsq_oracle, sort_simplex_projection
+from oracles import project_rows_to_simplex, simplex_lsq_oracle, sort_simplex_projection
 
 from sepnmf import metrics
 from sepnmf.errors import (
@@ -15,7 +15,6 @@ from sepnmf.errors import (
 )
 from sepnmf.metrics import (
     estimate_abundances,
-    project_rows_to_simplex,
     recovery_rate,
     spectral_angle_distance,
 )

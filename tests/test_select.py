@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepnmf import bench
+from sepnmf import bench, lowrank
 from sepnmf import select as select_module
 from sepnmf.errors import BadRankError, RankDeficientError, SepnmfError
 from sepnmf.linalg import spectral_norm, svd_truncated
@@ -232,8 +232,8 @@ def _assert_same_result(got, want):
 
 @pytest.mark.parametrize("runs", [SHARED_RUNS, SHARED_RUNS[::-1]], ids=["forward", "reversed"])
 def test_shared_analysis_matches_fresh_select(runs):
-    # at 50 x 2000, k = 10 the power rounds switch from the alternating chain
-    # (q = 1) to Gram rounds (q >= 2); a tall input keeps the chain throughout
+    # wide inputs run their power rounds on Gram rounds at every q >= 1; a tall
+    # input keeps the alternating chain throughout
     for d, m, k in ((12, 90, 5), (50, 2000, 10), (90, 40, 5)):
         inst = generate_instance(d, m, k, 0.6, seed=8)
         analysis = Analysis(inst.A, k)
@@ -263,17 +263,36 @@ def test_shared_basis_matches_fresh_basis(monkeypatch, d, m, k):
 
 
 def test_analysis_forms_one_gram_matrix(monkeypatch):
-    # at 50 x 2000, k = 10, q = 1 runs the chain and q >= 2 Gram rounds, all
-    # on the one G of the matrix
+    # at 50 x 2000, k = 10, q = 1 forms the one G of the matrix and every
+    # later q runs its Gram rounds on it
     inst = generate_instance(50, 2000, 10, 0.6, seed=8)
     formed, form = [], select_module.gram_matrix
     monkeypatch.setattr(select_module, "gram_matrix", lambda A: formed.append(1) or form(A))
     analysis = Analysis(inst.A, 10)
     analysis.select("mpspa", 1)
-    assert formed == []
+    assert formed == [1]
     for q in (2, 5, 10, 15):
         analysis.select("merspa", q)
     assert formed == [1]
+
+
+@pytest.mark.parametrize("d, m, k, q", [(50, 2000, 10, 1), (52, 3000, 3, 4)],
+                         ids=["select-grid-mpspa1", "unmix-mpspa4"])
+@pytest.mark.parametrize("t", [0.0, 1.0, 2.0])
+def test_gram_rounds_keep_the_chains_subspace_and_picks(monkeypatch, d, m, k, q, t):
+    # shapes the shape rule moved from the alternating chain onto G: select-grid's
+    # mpspa:1 and unmix's mpspa at q = 4 on a cube 1/3 the size; a refused guard
+    # restarts the chain
+    base = generate_instance(d, m, k, 1.0, seed=2)
+    A = rescale_noise(base, t * sigma_min(base.F)).A
+    analysis = Analysis(A, k)
+    start = np.ascontiguousarray(analysis.A[:, analysis._seed()])
+    Q_gram, picks = analysis._basis(q), analysis.select("mpspa", q).indices
+    monkeypatch.setattr(lowrank, "gram_resolves", lambda lam: False)
+    Q_chain = lowrank.subspace_basis(analysis.A, start, q)
+    assert Q_gram.tobytes() != Q_chain.tobytes()
+    assert np.linalg.norm(Q_gram @ Q_gram.T - Q_chain @ Q_chain.T, 2) <= 1e-12
+    assert sorted(select(A, k, "mpspa", q).indices) == sorted(picks)
 
 
 def test_shared_results_do_not_alias_the_analysis():

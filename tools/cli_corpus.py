@@ -60,6 +60,9 @@ CORPUS = (
                             "-o", "."]),
         ("instance-rank3", ["synth", "-d", "10", "-m", "60", "-k", "3", "--seed", "5",
                             "-o", "."]),
+        # tall (d > m): its power rounds take the alternating chain
+        ("instance-tall", ["synth", "-d", "60", "-m", "40", "-k", "4", "--delta", "1.5",
+                           "--seed", "7", "-o", "."]),
         # zero noise; the corpus adds a copy scaled by 2^530
         ("cube-exact", ["synth", "-d", "20", "-m", "400", "-k", "3", "--seed", "7",
                         "--format", "bin", "-o", "."]),
@@ -97,6 +100,14 @@ CORPUS = (
                               "--method", method, "--bounds",
                               "--truth", os.path.join(INSTANCE, "meta.json"),
                               "--report", "report.json"])
+        for method in ("spa", "rand", "svd")
+    ]
+    + [
+        # a tall A: chain rounds, the explicit residual's norm and rel_error by spectral_norm
+        (f"approx-{method}-tall", ["approx", os.path.join("..", "instance-tall", "A.mtx"), "-k",
+                                   "4", "--q", "2", "--method", method, "--bounds",
+                                   "--truth", os.path.join("..", "instance-tall", "meta.json"),
+                                   "--report", "report.json"])
         for method in ("spa", "rand", "svd")
     ]
     + [

@@ -21,7 +21,7 @@ import numpy as np
 
 from .io import write_csv_rows, write_json
 from .linalg import spectral_norm
-from .lowrank import APPROX_NAMES, approximate, gram_matrix
+from .lowrank import APPROX_NAMES, RankK, approximate
 from .metrics import recovery_rate
 from .reports import stage
 from .select import DEFAULT_BOUNDARY_TOL, DEFAULT_EPS, Analysis
@@ -82,9 +82,9 @@ def _fig1_worker(task):
     rows = []
     for t in deltas:
         inst = rescale_noise(base, t * smin)
-        gram = gram_matrix(inst.A)  # one A A^T for every q on this matrix
+        rk = RankK(inst.A, k)  # one seed and one A A^T for every q on this matrix
         for q in q_list:
-            ap = approximate(inst.A, k, "spa", q, gram=gram)
+            ap = rk.approximate("spa", q)
             rows.append(
                 {
                     "delta_mult": t,
@@ -200,7 +200,7 @@ def _tab2_worker(task):
     norm_a = spectral_norm(inst.A)
     rows = []
     for method in APPROX_NAMES:
-        ap = approximate(inst.A, k, method, q, 0, seed)
+        ap = approximate(inst.A, k, method, q, 0, seed)  # each engine pays for its seed and G
         rows.append(
             {
                 "d": d,

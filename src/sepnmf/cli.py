@@ -29,10 +29,9 @@ from .io import (
     write_matrix,
     write_pgm,
 )
-from .linalg import gram_norm, spectral_norm
-from .lowrank import APPROX_NAMES, approximate, bound_report, carries_gram, gram_matrix
+from .lowrank import APPROX_NAMES, RankK, bound_report
 from .metrics import estimate_abundances, recovery_rate, spectral_angle_distance
-from .reports import ExperimentReport, stage, write_report
+from .reports import ExperimentReport, write_report
 from .rng import RNG_NAME
 from .select import (DEFAULT_BOUNDARY_TOL, DEFAULT_EPS, DEFAULT_Q, SELECTOR_NAMES, Analysis,
                      power_exponent, select)
@@ -275,18 +274,14 @@ def _load_truth(path, A):
 
 def cmd_approx(args):
     A = read_matrix(args.matrix, args.format)
-    timing, gram = {}, None
-    if carries_gram(A):
-        with stage(timing, "gram"):  # one A A^T for the approximation and ||A||_2
-            gram = gram_matrix(A)
-    ap = approximate(A, args.k, args.method, args.q, args.oversample, args.seed, gram=gram)
-    timing.update(ap.timings)
+    rk = RankK(A, args.k)  # one A A^T on a wide A for the approximation and ||A||_2
+    ap = rk.approximate(args.method, args.q, args.oversample, args.seed)
     record = {
         "seed": args.seed,
         "q": args.q,
         "abs_error": ap.error2,
-        "rel_error": ap.error2 / (spectral_norm(A) if gram is None else gram_norm(*gram)),
-        "timing": timing,
+        "rel_error": ap.error2 / rk.norm2(),
+        "timing": ap.timings,
     }
     bound_fields = None
     if args.bounds and args.method != "spa":

@@ -58,8 +58,9 @@ def as_matrix(A, name="A"):
 def pow2_scaled(A):
     """(2**-e * A, e), exact, with e the binary exponent of max |A| when that
     lies outside 2**±_SAFE_EXP, else (A, 0): LAPACK's dlascl idiom, so the
-    Jacobi test's squared norms, the Gram matrices and the selectors' stages
-    neither overflow nor underflow. max and -min avoid np.abs(A), a copy."""
+    Jacobi test's squared norms and a lowrank.RankK's stages (its G, engines
+    and selectors; it undoes e on error2, norm2 and B) neither overflow nor
+    underflow. max and -min avoid np.abs(A), a copy."""
     e = int(np.frexp(max(A.max(), -A.min()))[1])
     return (np.ldexp(A, -e), e) if abs(e) > _SAFE_EXP else (A, 0)
 
@@ -77,13 +78,8 @@ def spectral_norm(A):
     """Largest singular value: the square root of LAPACK's top eigenvalue of
     the short-side Gram matrix (A A^T when A is wide, A^T A when tall), so
     A is not copied unless its scale needs rescaling."""
-    A = as_matrix(A)
-    A, e = pow2_scaled(A)
-    return gram_norm(A.T @ A if A.shape[0] > A.shape[1] else A @ A.T, e)
-
-
-def gram_norm(G, e):
-    """2**e sqrt(lambda_max(G)): ||A||_2 for G = 4**-e A A^T (or A^T A)."""
+    A, e = pow2_scaled(as_matrix(A))
+    G = A.T @ A if A.shape[0] > A.shape[1] else A @ A.T
     return float(np.ldexp(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)), e))
 
 

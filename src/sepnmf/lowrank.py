@@ -1,9 +1,10 @@
 """Rank-k approximation: one pipeline, three seeds.
 
-approximate(A, k, method, q) runs each engine through the same timed
-stages: seed, power (q rounds of subspace iteration), form_b
-(B = Q Q^T A) and error_norm (error2 = ||A - B||_2). The engines differ
-only in their seed:
+RankK(A, k).approximate(method, q) runs each engine through the same
+timed stages: seed, power (q rounds of subspace iteration), form_b
+(B = Q Q^T A) and error_norm (error2 = ||A - B||_2); approximate(A, k,
+method, q) runs one engine on its own RankK. The engines differ only in
+their seed:
 
   spa   the k columns picked by successive projection (deterministic);
   rand  A times a seeded Gaussian test matrix with k + oversample
@@ -104,13 +105,13 @@ def subspace_basis(A, start, q, *, gram=None):
     on the alternating chain. Orthonormalizing once per Gram round (q + 1
     times in total) or after every multiplication by A or A^T on the
     chain (2q + 1 times) keeps the iterate representable for large q.
-    The column count can shrink if the iterate loses rank. gram is
-    gram_matrix(A) when the caller already has it; the basis is the same
-    bytes with or without it.
+    The column count can shrink if the iterate loses rank. gram is G of
+    a RankK that holds A already scaled; without it G is formed from
+    pow2_scaled(A), and the basis is the same bytes either way.
     """
     Q = orthonormalize(start)
     if q and carries_gram(A):
-        Z = _gram_rounds((gram_matrix(A) if gram is None else gram)[0], Q, q)
+        Z = _gram_rounds(gram_matrix(pow2_scaled(A)[0]) if gram is None else gram, Q, q)
         if Z is not None:
             return Z
     for _ in range(q):
@@ -126,12 +127,9 @@ def carries_gram(A):
     return A.shape[0] <= A.shape[1]
 
 
-def gram_matrix(A):
-    """(G, e): G = S S^T for (S, e) = pow2_scaled(A), so A A^T = 4**e G and G
-    neither overflows nor underflows. A wide approximation forms it once and
-    shares it between its power rounds and its error measurement."""
-    S, e = pow2_scaled(A)
-    return S @ S.T, e
+def gram_matrix(S):
+    """G = S S^T of an S already pow2_scaled, so G neither overflows nor underflows."""
+    return S @ S.T
 
 
 def _gram_rounds(G, Q, q):
@@ -153,77 +151,113 @@ def gram_resolves(lam):
     return lam[0] >= _RITZ_REL * lam[-1] > 0
 
 
-def approximate(A, k, method, q, oversample=0, seed=0, *, gram=None):
-    """Rank-k approximation of A by the engine `method`, one of APPROX_NAMES.
+class RankK:
+    """One matrix A at rank k, validated and scaled once: it runs as 2**-e A
+    (pow2_scaled), and error2, norm2 and B are scaled back. Each stage is
+    computed when first asked for, so the engines and q run on one RankK, and
+    select.Analysis's selectors, share one SPA seed, one G and one basis per q."""
 
-    Stage times go to `timings` under the seed's key (`spa`, `sample` or
-    `svd`), `power`, `form_b` and `error_norm`. oversample and seed shape
-    the rand sketch only; svd ignores q. A rank collapse during iteration
-    is flagged in rank_collapsed, not raised. A wide A's gram_matrix is
-    formed by the first stage that needs it (power when q >= 1, else
-    error_norm), or passed in as gram by a caller that has it; the result
-    is the same bytes either way.
-    """
-    if method not in _SEED_STAGE:
-        raise ValueError(f"unknown approximation {method!r}; expected one of {APPROX_NAMES}")
-    A = as_matrix(A)
-    d, m = A.shape
-    if method == "spa" and q < 0:
-        raise BadRankError(f"q must be >= 0, got {q}")
-    if method == "rand":
-        if q < 0 or oversample < 0:
-            raise BadRankError("q and oversample must be >= 0")
-        if not (1 <= k <= min(d, m)) or k + oversample > min(d, m):
-            raise BadRankError(
-                f"need 1 <= k and k + oversample <= {min(d, m)}, got k={k}, oversample={oversample}"
-            )
-    timings, idx = {}, None
-    with stage(timings, _SEED_STAGE[method]):
-        if method == "spa":
-            idx = spa_select(A, k)
-            start = np.ascontiguousarray(A[:, idx])
-        elif method == "rand":
-            start = A @ SplitMix64(seed).normal_matrix(m, k + oversample)
-        else:
-            f = svd_truncated(A, k)
-            if f.S[0] == 0.0:
-                raise RankDeficientError(f"A is zero: it has rank 0 < k={k}")
-            Q, B = f.U, f.U @ (f.S[:, None] * f.V.T)
-    if method != "svd":
-        with stage(timings, "power"):
-            if gram is None and q and carries_gram(A):
-                gram = gram_matrix(A)
-            Q = subspace_basis(A, start, q, gram=gram)
-            if Q.shape[1] > k:
-                # truncate the oversampled sketch back to rank k (top-k SVD of Q^T A)
-                Q = np.ascontiguousarray(Q @ svd_truncated(Q.T @ A, k).U)
-        with stage(timings, "form_b"):
-            B = Q @ (Q.T @ A)
-    with stage(timings, "error_norm"):
-        if gram is None and carries_gram(A):
-            gram = gram_matrix(A)
-        err = _residual_norm(A, B, Q, gram)
-    return RankKApprox(
-        Q=Q,
-        B=B,
-        q=q,
-        error2=err,
-        seed_indices=idx,
-        rank_collapsed=Q.shape[1] < k,
-        timings=timings,
-    )
+    def __init__(self, A, k):
+        self.A, self.e = pow2_scaled(as_matrix(A))
+        if not (1 <= k <= min(self.A.shape)):
+            raise BadRankError(f"k must satisfy 1 <= k <= {min(self.A.shape)}, got {k}")
+        self.k = k
+        self._stages = {}
+
+    def _memo(self, key, compute):
+        if key not in self._stages:
+            self._stages[key] = compute()
+        return self._stages[key]
+
+    def _seed(self):
+        """First-pass picks I0 = spa_select(A, k)."""
+        return self._memo("seed", lambda: spa_select(self.A, self.k))
+
+    def _gram(self):
+        """gram_matrix(A) once when A carries_gram (is wide), else None."""
+        return self._memo("gram", lambda: gram_matrix(self.A) if carries_gram(self.A) else None)
+
+    def _rounds(self, start, q):
+        """subspace_basis(A, start, q) on the shared G."""
+        return subspace_basis(self.A, start, q, gram=self._gram() if q else None)
+
+    def _basis(self, q):
+        """subspace_basis(A, A(I0), q), once per q."""
+        return self._memo(("basis", q), lambda: self._rounds(
+            np.ascontiguousarray(self.A[:, self._seed()]), q))
+
+    def norm2(self):
+        """||A||_2: sqrt(lambda_max(G)) on a wide A, else spectral_norm(A)."""
+        G = self._gram()
+        s = spectral_norm(self.A) if G is None else np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0))
+        return float(np.ldexp(s, self.e))
+
+    def approximate(self, method, q, oversample=0, seed=0):
+        """Rank-k approximation of A by the engine `method`, one of APPROX_NAMES.
+
+        Stage times go to `timings` under the seed's key (`spa`, `sample`
+        or `svd`), `power`, `form_b` and `error_norm`; a stage this RankK
+        already holds adds ~0. oversample and seed shape the rand sketch
+        only; svd ignores q. A rank collapse during iteration is flagged in
+        rank_collapsed, not raised.
+        """
+        if method not in _SEED_STAGE:
+            raise ValueError(f"unknown approximation {method!r}; expected one of {APPROX_NAMES}")
+        A, k = self.A, self.k
+        if method == "spa" and q < 0:
+            raise BadRankError(f"q must be >= 0, got {q}")
+        if method == "rand":
+            if q < 0 or oversample < 0:
+                raise BadRankError("q and oversample must be >= 0")
+            if k + oversample > min(A.shape):
+                raise BadRankError(f"need 1 <= k and k + oversample <= {min(A.shape)}, "
+                                   f"got k={k}, oversample={oversample}")
+        timings, idx = {}, None
+        with stage(timings, _SEED_STAGE[method]):
+            if method == "spa":
+                idx = self._seed().copy()
+            elif method == "rand":
+                start = A @ SplitMix64(seed).normal_matrix(A.shape[1], k + oversample)
+            else:
+                f = svd_truncated(A, k)
+                if f.S[0] == 0.0:
+                    raise RankDeficientError(f"A is zero: it has rank 0 < k={k}")
+                Q, B = f.U, f.U @ (f.S[:, None] * f.V.T)
+        if method != "svd":
+            with stage(timings, "power"):
+                Q = self._basis(q).copy() if method == "spa" else self._rounds(start, q)
+                if Q.shape[1] > k:
+                    # truncate the oversampled sketch back to rank k (top-k SVD of Q^T A)
+                    Q = np.ascontiguousarray(Q @ svd_truncated(Q.T @ A, k).U)
+            with stage(timings, "form_b"):
+                B = Q @ (Q.T @ A)
+        with stage(timings, "error_norm"):
+            err = _residual_norm(A, B, Q, self._gram())
+        return RankKApprox(
+            Q=Q,
+            B=np.ldexp(B, self.e) if self.e else B,
+            q=q,
+            error2=float(np.ldexp(err, self.e)),
+            seed_indices=idx,
+            rank_collapsed=Q.shape[1] < k,
+            timings=timings,
+        )
 
 
-def _residual_norm(A, B, Q, gram):
-    """||A - B||_2 for B = Q Q^T A, Q orthonormal: 2**e sqrt(lambda_max(P G P))
-    from gram = (G, e) when that clears _GRAM_ERR_REL * ||G||_F, else (and
-    for tall A, gram None) the spectral norm of the explicit residual."""
-    if gram is not None:
-        G, e = gram
+def approximate(A, k, method, q, oversample=0, seed=0):
+    """One engine on its own RankK: RankK(A, k).approximate(method, q, ...)."""
+    return RankK(A, k).approximate(method, q, oversample, seed)
+
+
+def _residual_norm(A, B, Q, G):
+    """||A - B||_2 for B = Q Q^T A, Q orthonormal: sqrt(lambda_max(P G P))
+    from G = A A^T when that clears _GRAM_ERR_REL * ||G||_F, else (and for
+    tall A, G None) the spectral norm of the explicit residual."""
+    if G is not None:
         P = np.eye(Q.shape[0]) - Q @ Q.T
         lam = float(np.linalg.eigvalsh(P @ G @ P)[-1])
         if lam >= _GRAM_ERR_REL * float(np.linalg.norm(G)):
-            return float(np.ldexp(np.sqrt(lam), e))
+            return float(np.sqrt(lam))
     return spectral_norm(A - B)
 
 

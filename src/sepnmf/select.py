@@ -1,8 +1,8 @@
 """Preconditioned and preprocessed separable-NMF selectors.
 
 Every selector is successive projection on a transformed matrix, built
-from stages that an Analysis(A, k, eps) computes once per matrix and
-shares between the methods run on it:
+from stages that an Analysis(A, k, eps), a lowrank.RankK, computes once
+per matrix and shares between the methods run on it:
 
   compress  svd       P = U_k^T A = Sigma_k V_k^T, A's top k singular pairs:
                       on a wide A from eigh of the shared G = A A^T when
@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadRankError, RankDeficientError
-from .linalg import as_matrix, pow2_scaled, psd_sqrt, svd_full, svd_truncated
-from .lowrank import carries_gram, gram_matrix, gram_resolves, subspace_basis
+from .linalg import psd_sqrt, svd_full, svd_truncated
+from .lowrank import RankK, gram_resolves
 from .mvee import DEFAULT_EPS, ellipsoid_support, solve_mvee
 from .reports import stage
 from .spa import spa_select
@@ -92,51 +92,26 @@ def _boundary_pick(P, ell, C, k, boundary_tol, notes):
     return cand[spa_select(np.ascontiguousarray(P[:, cand]), k)]
 
 
-class Analysis:
-    """The selection stages of one matrix A at rank k (validated once), each
-    computed the first time a method asks for it; eps is the ellipsoid
-    tolerance. Results are bit-identical to select() in any order of
-    methods; a stage already computed adds ~0 to a method's timing."""
+class Analysis(RankK):
+    """The selection stages of one matrix A at rank k (a RankK: 2**j * A
+    picks as A does), each computed the first time a method asks for it; eps
+    is the ellipsoid tolerance. Results are bit-identical to select() in any
+    order of methods; a stage already computed adds ~0 to a method's timing."""
 
     def __init__(self, A, k, eps=DEFAULT_EPS):
-        self.A = pow2_scaled(as_matrix(A))[0]  # 2**j * A runs as A does
-        if not (1 <= k <= min(self.A.shape)):
-            raise BadRankError(f"k must satisfy 1 <= k <= {min(self.A.shape)}, got {k}")
-        self.k = k
+        super().__init__(A, k)
         self.eps = eps
-        self._stages = {}
-
-    def _memo(self, key, compute):
-        if key not in self._stages:
-            self._stages[key] = compute()
-        return self._stages[key]
-
-    def _seed(self):
-        """First-pass picks I0 = spa_select(A, k)."""
-        return self._memo("seed", lambda: spa_select(self.A, self.k))
-
-    def _gram(self):
-        """gram_matrix(A) once when A carries_gram (is wide), else None: the
-        svd stage and the power rounds at every q >= 1 share it."""
-        return self._memo("gram", lambda: gram_matrix(self.A) if carries_gram(self.A) else None)
-
-    def _basis(self, q):
-        """subspace_basis(A, A(I0), q), once per q."""
-        return self._memo(("basis", q), lambda: subspace_basis(
-            self.A, np.ascontiguousarray(self.A[:, self._seed()]), q,
-            gram=self._gram() if q else None))
 
     def _top_factors(self):
         """(U_k, S_k, P = U_k^T A = S_k V_k^T) for the svd stage: from eigh(G)
         on a wide A whose G resolves the top k (gram_resolves), else from
         svd_truncated(A, k)."""
-        A, k = self.A, self.k
-        if self._gram() is not None:
-            G, e = self._gram()
+        A, k, G = self.A, self.k, self._gram()
+        if G is not None:
             lam, U = np.linalg.eigh(G)
             if gram_resolves(lam[-k:]):
                 U, lam = U[:, :-k - 1:-1], lam[:-k - 1:-1]
-                return U, np.ldexp(np.sqrt(lam), e), U.T @ A
+                return U, np.sqrt(lam), U.T @ A
         f = svd_truncated(A, k)
         return f.U, f.S, np.ascontiguousarray(f.S[:, None] * f.V.T)
 

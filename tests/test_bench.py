@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 
-from sepnmf import bench
+from sepnmf import bench, lowrank
 from sepnmf.bench import _fig2_worker, fig1_suite, fig2_suite, run_suites, tab2_suite
 from sepnmf.cli import _method_list, main
 from sepnmf.errors import SepnmfError
@@ -25,11 +25,13 @@ def test_fig1_rows_and_upper_bound(tmp_path):
 
 
 def test_fig1_worker_forms_one_gram_matrix_per_matrix(monkeypatch):
-    formed, form = [], bench.gram_matrix
-    monkeypatch.setattr(bench, "gram_matrix", lambda A: formed.append(1) or form(A))
+    formed, form = [], lowrank.gram_matrix
+    monkeypatch.setattr(lowrank, "gram_matrix", lambda A: formed.append(1) or form(A))
+    seeded, pick = [], lowrank.spa_select
+    monkeypatch.setattr(lowrank, "spa_select", lambda A, k: seeded.append(1) or pick(A, k))
     task = (20, 300, 4, 3, (1, 2, 10), (0.0, 1.0))
     rows = bench._fig1_worker(task)
-    assert len(formed) == 2  # one per noise level, shared by its three q
+    assert len(formed) == len(seeded) == 2  # one G and one seed per noise level, for its three q
     base = bench.generate_instance(20, 300, 4, 1.0, 3)
     for row in rows:
         A = bench.rescale_noise(base, row["delta_mult"] * bench.sigma_min(base.F)).A

@@ -330,7 +330,8 @@ def test_jacobi_kernel_orthogonalizes_rows(r):
 
 @pytest.mark.parametrize("r", range(1, 10))
 def test_round_robin_sweep_visits_every_pair_once(r):
-    # perfbench counts pair_visits = sweeps * r(r-1)/2 from this contract
+    # a full sweep (every row polished) visits r(r-1)/2 pairs; a truncated SVD's
+    # sweep visits only the pairs touching its leading rows (next test)
     pairs = []
     for I, J in kernels._round_robin(r):
         assert len(set(I) | set(J)) == 2 * I.size  # a round's pairs are disjoint

@@ -109,14 +109,22 @@ def test_degenerate_zero_noise_design_grows_working_set_early():
     # c01's 10 x 80 x 3 seed 10081 in SVD coordinates: points on the faces of
     # a simplex, many of them almost on the optimal ellipsoid; the optimum is
     # the uniform design on the simplex's vertices, the SPA picks
+    # (the true indices [0, 55, 56]). That design is the oracle, in closed
+    # form: M = P_S P_S^T / k and L* = M^-1 / k (log det -0.789233419712845),
+    # certified optimal by its Kiefer-Wolfowitz gap k log(max_i p_i^T M^-1 p_i / k)
     P = _svd_coordinates(10_081)
+    k = P.shape[0]
+    vertices = generate_instance(10, 80, k, 0.0, seed=10_081).true_indices
+    M_inv = np.linalg.inv(P[:, vertices] @ P[:, vertices].T / k)
+    gap = k * np.log(np.einsum("ij,jl,li->i", P.T, M_inv, P).max() / k)
+    assert gap <= 1e-12
+    sign_opt, logdet_opt = np.linalg.slogdet(M_inv / k)
+    assert sign_opt > 0
     e = solve_mvee(P, 1e-6)
     assert e.max_violation <= 1e-6
-    logdet_oracle, _, _, gap = khachiyan_logdet(P, 1e-10)
-    assert gap <= 1e-6
     sign, logdet = np.linalg.slogdet(e.L)
     assert sign > 0
-    assert abs(logdet - logdet_oracle) <= 3 * np.log(1.0 + 1e-6) + 1e-9
+    assert abs(logdet - logdet_opt) <= 3 * np.log(1.0 + 1e-6) + 1e-9
     assert e.iterations == 0
 
 

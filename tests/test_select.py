@@ -266,8 +266,8 @@ def test_analysis_forms_one_gram_matrix(monkeypatch):
     # at 50 x 2000, k = 10, q = 1 forms the one G of the matrix and every
     # later q runs its Gram rounds on it
     inst = generate_instance(50, 2000, 10, 0.6, seed=8)
-    formed, form = [], select_module.gram_matrix
-    monkeypatch.setattr(select_module, "gram_matrix", lambda A: formed.append(1) or form(A))
+    formed, form = [], lowrank.gram_matrix
+    monkeypatch.setattr(lowrank, "gram_matrix", lambda A: formed.append(1) or form(A))
     analysis = Analysis(inst.A, 10)
     analysis.select("mpspa", 1)
     assert formed == [1]
@@ -332,8 +332,10 @@ def test_grid_instance_runs_each_shared_stage_once(monkeypatch):
                ("erspa", None), ("merspa", 15), ("prewhiten", None), ("spaspa", None))
     d, m, k = 20, 150, 4
     calls = {"svd_truncated": 0, "gram_matrix": 0, "solve_mvee": 0, "seed": 0}
-    names = ("svd_truncated", "gram_matrix", "solve_mvee", "spa_select")
-    wrapped = {name: getattr(select_module, name) for name in names}
+    # the seed and G are RankK stages, read in lowrank; the others in select
+    modules = {"svd_truncated": select_module, "gram_matrix": lowrank,
+               "solve_mvee": select_module, "spa_select": lowrank}
+    wrapped = {name: getattr(module, name) for name, module in modules.items()}
 
     def counted(name):
         def wrapper(X, *args):
@@ -345,8 +347,8 @@ def test_grid_instance_runs_each_shared_stage_once(monkeypatch):
             return wrapped[name](X, *args)
         return wrapper
 
-    for name in names:
-        monkeypatch.setattr(select_module, name, counted(name))
+    for name, module in modules.items():
+        monkeypatch.setattr(module, name, counted(name))
     task = (d, m, k, 3, methods, (0.5,), DEFAULT_EPS, DEFAULT_BOUNDARY_TOL, "sigmin")
     rows = bench._fig2_worker(task)
     assert len(rows) == len(methods)
@@ -380,8 +382,8 @@ def _jacobi_outcomes(monkeypatch, A, k):
             return fn(*args)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(select_module, name, counted(name, getattr(select_module, name)))
+    for name, module in (("svd_truncated", select_module), ("gram_matrix", lowrank)):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     analysis = Analysis(A, k)
     plain = {method: _outcome(lambda: analysis.select(method)) for method in SVD_METHODS}
     made = dict(calls)

@@ -103,6 +103,13 @@ CORPUS = (
         for method in ("spa", "rand", "svd")
     ]
     + [
+        # the instance times 2^530: abs_error and rel_error are the unscaled
+        # run's times 2^530 and the same bytes
+        (f"approx-{method}-2p530", ["approx", os.path.join(INSTANCE, "A-2p530.bin"), "-k", "4",
+                                    "--q", "2", "--method", method, "--report", "report.json"])
+        for method in ("spa", "rand", "svd")
+    ]
+    + [
         # a tall A: chain rounds, the explicit residual's norm and rel_error by spectral_norm
         (f"approx-{method}-tall", ["approx", os.path.join("..", "instance-tall", "A.mtx"), "-k",
                                    "4", "--q", "2", "--method", method, "--bounds",
@@ -188,10 +195,10 @@ def _write_cube_inputs(cube_dir):
         writer.writerows([repr(float(v)) for v in row] for row in F)
 
 
-def _write_scaled_cube(cube_dir):
-    """A-2p530.bin: the cube times 2^530, exactly."""
-    A = read_matrix(os.path.join(cube_dir, "A.bin"))
-    write_matrix(os.path.join(cube_dir, "A-2p530.bin"), np.ldexp(A, 530))
+def _write_scaled(directory, name):
+    """A-2p530.bin: the directory's matrix `name` times 2^530, exactly."""
+    A = read_matrix(os.path.join(directory, name))
+    write_matrix(os.path.join(directory, "A-2p530.bin"), np.ldexp(A, 530))
 
 
 def _write_zero_matrix(zero_dir):
@@ -247,8 +254,9 @@ def run_corpus(out_dir):
             _write_cube_inputs(cwd)
         elif name == "instance":
             _write_bad_truth(cwd)
+            _write_scaled(cwd, "A.mtx")
         elif name == "cube-exact":
-            _write_scaled_cube(cwd)
+            _write_scaled(cwd, "A.bin")
         print(f"{name}: exit {proc.returncode}")
     for root, _, files in os.walk(out_dir):
         for fname in files:

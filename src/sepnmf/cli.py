@@ -68,9 +68,31 @@ def build_parser():
     a.add_argument("--report", required=True, help="output report JSON")
     a.set_defaults(func=cmd_approx)
 
-    c = _add_select_flags(
-        sub.add_parser("select", help="column selection, single matrix or seeded batch"))
-    c.set_defaults(func=cmd_select)
+    c = sub.add_parser("select", help="column selection, single matrix or seeded batch")
+    c.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    c.add_argument("--jobs", action=_Given, type=_positive_int, default=1,
+                   help="parallel workers for batch suites")
+    c.add_argument("--format", action=_Given, choices=FORMATS, help="matrix file format")
+    c.add_argument("--eps", type=_mvee_eps, default=DEFAULT_EPS, help="ellipsoid tolerance")
+    c.add_argument("matrix", nargs="?", help="matrix file (omit in batch mode)")
+    c.add_argument("-k", type=int, required=True)
+    c.add_argument("--method", action=_Given, choices=SELECTOR_NAMES, default="spa")
+    c.add_argument("--q", action=_Given, type=int,
+                   help=f"power exponent for mpspa/merspa (default {DEFAULT_Q})")
+    c.add_argument("--boundary-tol", type=_nonnegative_float, default=DEFAULT_BOUNDARY_TOL)
+    c.add_argument("--truth", action=_Given, help="meta.json with ground-truth indices")
+    c.add_argument("--report", action=_Given, help="output report JSON")
+    c.add_argument("--instances", type=_positive_int, help="batch mode: instances per grid cell")
+    c.add_argument("-d", action=_Given, type=int, help="batch mode: rows")
+    c.add_argument("-m", action=_Given, type=int, help="batch mode: columns")
+    c.add_argument("--deltas", action=_Given, type=_float_list, default="0,0.5,1.0,1.5,2.0",
+                   help="batch noise grid")
+    c.add_argument("--delta-unit", action=_Given, choices=("sigmin", "abs"), default="sigmin",
+                   help="deltas are multipliers of sigma_min(F) or absolute")
+    c.add_argument("--methods", action=_Given, type=_method_list,
+                   help="batch methods, e.g. spa,pspa,mpspa:1,mpspa:15")
+    c.add_argument("--out", action=_Given, help="batch mode: output CSV")
+    c.set_defaults(func=cmd_select, given=())
 
     u = sub.add_parser("unmix", help="endmember extraction + abundance maps")
     u.add_argument("--format", choices=FORMATS, help="matrix file format")
@@ -99,60 +121,25 @@ def build_parser():
     return p
 
 
-def _add_select_flags(c):
-    """Add select's arguments to the parser c and return it."""
-    c.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    c.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for batch suites")
-    c.add_argument("--format", choices=FORMATS, help="matrix file format")
-    c.add_argument("--eps", type=_mvee_eps, default=DEFAULT_EPS, help="ellipsoid tolerance")
-    c.add_argument("matrix", nargs="?", help="matrix file (omit in batch mode)")
-    c.add_argument("-k", type=int, required=True)
-    c.add_argument("--method", choices=SELECTOR_NAMES, default="spa")
-    c.add_argument("--q", type=int, help=f"power exponent for mpspa/merspa (default {DEFAULT_Q})")
-    c.add_argument("--boundary-tol", type=_nonnegative_float, default=DEFAULT_BOUNDARY_TOL)
-    c.add_argument("--truth", help="meta.json with ground-truth indices")
-    c.add_argument("--report", help="output report JSON")
-    c.add_argument("--instances", type=_positive_int, help="batch mode: instances per grid cell")
-    c.add_argument("-d", type=int, help="batch mode: rows")
-    c.add_argument("-m", type=int, help="batch mode: columns")
-    c.add_argument("--deltas", type=_float_list, default="0,0.5,1.0,1.5,2.0",
-                   help="batch noise grid")
-    c.add_argument(
-        "--delta-unit",
-        choices=("sigmin", "abs"),
-        default="sigmin",
-        help="deltas are multipliers of sigma_min(F) or absolute",
-    )
-    c.add_argument("--methods", type=_method_list,
-                   help="batch methods, e.g. spa,pspa,mpspa:1,mpspa:15")
-    c.add_argument("--out", help="batch mode: output CSV")
-    return c
-
-
 # select flags that only one mode reads: the single-matrix mode (a matrix
-# file) and the batch mode (--instances)
+# file) and the batch mode (--instances), in the order its message lists them
 _SINGLE_ONLY = ("--format", "--method", "--q", "--truth", "--report")
 _BATCH_ONLY = ("-d", "-m", "--deltas", "--delta-unit", "--methods", "--out", "--jobs")
 
 
-def _unread_select_flags(args):
-    """The flags on args' select command line that its mode does not read,
-    found by parsing it again into a namespace holding a marker for each:
-    argparse replaces a marker only when its flag is given."""
-    flags = _SINGLE_ONLY if args.instances else _BATCH_ONLY
-    dests = [f.lstrip("-").replace("-", "_") for f in flags]
-    unset = object()
-    ns = argparse.Namespace(**dict.fromkeys(dests, unset))
-    _add_select_flags(argparse.ArgumentParser()).parse_args(args.argv[1:], ns)
-    unread = [f for f, dest in zip(flags, dests) if getattr(ns, dest) is not unset]
-    if args.instances and args.matrix:
-        unread.insert(0, "MATRIX")
-    return unread
+class _Given(argparse.Action):
+    """Store the value of a flag that only one select mode reads, and add the
+    flag's canonical spelling to args.given: given at any value, its default
+    included, the other mode refuses it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given += (self.option_strings[0],)
+
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args) or 0
     except SepnmfError as exc:
@@ -195,36 +182,51 @@ _nonnegative_float = _checked(float, lambda v: v >= 0.0, "must be >= 0")
 _mvee_eps = _checked(float, lambda v: 0.0 < v < 0.5, "must lie in (0, 0.5)")  # solve_mvee's domain
 
 
-def _float_list(text):
-    """Nonempty comma list of numbers (an argparse type)."""
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        values = []
-    if not values:
-        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
-    return values
-
-
-def _method_list(text):
-    """Nonempty comma list of selector names, each optionally NAME:Q (an argparse type)."""
-    methods = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        name, _, qtxt = tok.partition(":")
-        if name not in SELECTOR_NAMES:
-            raise argparse.ArgumentTypeError(
-                f"unknown selector {name!r} (choose from {', '.join(SELECTOR_NAMES)})"
-            )
+def _comma_list(item, what):
+    """An argparse type: the nonempty comma list of item(token) values, blank
+    tokens skipped. A ValueError from item, or no tokens at all, is the usage
+    error "not a comma list of <what>"; item raises ArgumentTypeError for a
+    message of its own."""
+    def parse(text):
         try:
-            methods.append((name, int(qtxt) if qtxt else None))
+            values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
         except ValueError:
-            raise argparse.ArgumentTypeError(f"q in {tok!r} is not an integer") from None
-    if not methods:
-        raise argparse.ArgumentTypeError(f"not a comma list of selector names: {text!r}")
-    return methods
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"not a comma list of {what}: {text!r}")
+        return values
+    return parse
+
+
+def _method(tok):
+    """(name, q or None) of a selector name, optionally NAME:Q."""
+    name, _, qtxt = tok.partition(":")
+    if name not in SELECTOR_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"unknown selector {name!r} (choose from {', '.join(SELECTOR_NAMES)})"
+        )
+    try:
+        return name, int(qtxt) if qtxt else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"q in {tok!r} is not an integer") from None
+
+
+def _band_range(tok):
+    """(lo, hi) of a 1-based band or LO-HI range, LO <= HI."""
+    lo, sep, hi = tok.partition("-")
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a band or LO-HI range: {tok!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty band range {tok!r}")
+    return lo, hi
+
+
+_float_list = _comma_list(float, "numbers")
+_method_list = _comma_list(_method, "selector names")  # (name, q or None) pairs
+_band_ranges = _comma_list(_band_range, "bands")  # (lo, hi) pairs
 
 
 def cmd_synth(args):
@@ -313,7 +315,9 @@ def cmd_select(args):
     if not (args.matrix or args.instances):
         print("error: provide a matrix file or --instances for batch mode", file=sys.stderr)
         return 2
-    unread = _unread_select_flags(args)
+    unread = [f for f in (_SINGLE_ONLY if args.instances else _BATCH_ONLY) if f in args.given]
+    if args.instances and args.matrix:
+        unread.insert(0, "MATRIX")
     if unread:
         mode = "batch (--instances)" if args.instances else "single-matrix"
         print(f"error: {mode} select does not read {', '.join(unread)}", file=sys.stderr)
@@ -362,28 +366,6 @@ def _select_batch(args):
         args.boundary_tol, args.delta_unit, args.jobs,
     )
     print(f"wrote {out} ({len(csv_rows)} rows)")
-
-
-def _band_ranges(text):
-    """Nonempty comma list of 1-based bands and LO-HI ranges, LO <= HI (an
-    argparse type); returns (lo, hi) pairs."""
-    ranges = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        lo, sep, hi = tok.partition("-")
-        try:
-            lo = int(lo)
-            hi = int(hi) if sep else lo
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a band or LO-HI range: {tok!r}") from None
-        if lo > hi:
-            raise argparse.ArgumentTypeError(f"empty band range {tok!r}")
-        ranges.append((lo, hi))
-    if not ranges:
-        raise argparse.ArgumentTypeError(f"not a comma list of bands: {text!r}")
-    return ranges
 
 
 def _kept_bands(ranges, d):

@@ -141,18 +141,20 @@ def _residual_sq(A, U):
     return np.einsum("ij,ij->j", Rm, Rm)
 
 
-def spa_core(A, k, norm_floor):
+def spa_core(A, k, rel_tol):
     # Greedy max-norm column picks with the incremental squared-norm
     # downdate sq[j] -= (u . a_j)^2, u the unit residual of the pivot.
-    # Ties at the argmax go to the smallest column index. The downdate
-    # cancels to noise once residuals fall below ~1e-8 of their column
-    # norms, so a round that finds no residual above the floor recomputes
-    # the norms exactly and retakes its pick before it gives up. Returns the
-    # k picks in order; raises RankDeficientError when residuals run out.
+    # Ties at the argmax go to the smallest column index. The floor is rel_tol
+    # times ||A||_F, read off the squared column norms summed below. The
+    # downdate cancels to noise once residuals fall below ~1e-8 of their column
+    # norms, so a round that finds no residual above the floor recomputes the
+    # norms exactly and retakes its pick before it gives up. Returns the k
+    # picks in order; raises RankDeficientError when residuals run out.
     d, m = A.shape
     sq = np.zeros(m)
     for i in range(d):
         sq += A[i] * A[i]
+    norm_floor = rel_tol * math.sqrt(sq.sum())
     U = np.empty((k, d))
     idx = np.zeros(k, np.int64)
     floor2 = norm_floor * norm_floor

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadRankError, NonFiniteError, RankDeficientError
+from .kernels import spa_core
 from .linalg import (
     as_matrix,
     orthonormalize,
@@ -48,7 +49,7 @@ from .linalg import (
 )
 from .reports import stage
 from .rng import SplitMix64
-from .spa import spa_select
+from .spa import REL_DEGENERATE_TOL
 
 _RANK_B_REL = 1e-10
 _RITZ_REL = 1e-10  # G resolves the top k when lambda_k >= this * lambda_1 (gram_resolves)
@@ -170,8 +171,8 @@ class RankK:
         return self._stages[key]
 
     def _seed(self):
-        """First-pass picks I0 = spa_select(A, k)."""
-        return self._memo("seed", lambda: spa_select(self.A, self.k))
+        """First-pass picks I0 = spa_select(A, k): spa_core on the checked, scaled A."""
+        return self._memo("seed", lambda: spa_core(self.A, self.k, REL_DEGENERATE_TOL))
 
     def _gram(self):
         """gram_matrix(A) once when A carries_gram (is wide), else None."""

@@ -8,8 +8,6 @@ A round whose downdated norms all fall at or below the degeneracy floor
 recomputes them exactly before it declares the input degenerate.
 """
 
-import numpy as np
-
 from . import kernels
 from .errors import BadRankError
 from .linalg import as_matrix, pow2_scaled
@@ -28,6 +26,5 @@ def spa_select(A, k):
     d, m = A.shape
     if not (1 <= k <= min(d, m)):
         raise BadRankError(f"k must satisfy 1 <= k <= {min(d, m)}, got {k}")
-    floor = REL_DEGENERATE_TOL * float(np.linalg.norm(A))
-    return kernels.spa_core(A, k, floor)
+    return kernels.spa_core(A, k, REL_DEGENERATE_TOL)
 

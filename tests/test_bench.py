@@ -27,8 +27,8 @@ def test_fig1_rows_and_upper_bound(tmp_path):
 def test_fig1_worker_forms_one_gram_matrix_per_matrix(monkeypatch):
     formed, form = [], lowrank.gram_matrix
     monkeypatch.setattr(lowrank, "gram_matrix", lambda A: formed.append(1) or form(A))
-    seeded, pick = [], lowrank.spa_select
-    monkeypatch.setattr(lowrank, "spa_select", lambda A, k: seeded.append(1) or pick(A, k))
+    seeded, pick = [], lowrank.spa_core
+    monkeypatch.setattr(lowrank, "spa_core", lambda A, k, tol: seeded.append(1) or pick(A, k, tol))
     task = (20, 300, 4, 3, (1, 2, 10), (0.0, 1.0))
     rows = bench._fig1_worker(task)
     assert len(formed) == len(seeded) == 2  # one G and one seed per noise level, for its three q

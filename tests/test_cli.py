@@ -369,6 +369,21 @@ class TestSelect:
         assert "--deltas, --methods, --out, --jobs" in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("single, flags, unread", [
+        (True, ["--jobs", "1", "--delta-unit", "sigmin", "--deltas", "0,0.5,1.0,1.5,2.0"],
+         "single-matrix select does not read --deltas, --delta-unit, --jobs"),
+        (False, ["--method", "spa", "--instances", "1", "-d", "12", "-m", "60",
+                 "--trut", "meta.json"],
+         "batch (--instances) select does not read --method, --truth"),
+    ], ids=["single", "batch"])
+    def test_other_mode_flags_are_refused_at_their_defaults(self, instance_dir, capsys,
+                                                            single, flags, unread):
+        # given is given: a flag of the other mode is refused at its default value
+        # too, listed in its canonical spelling, in the order of the usage message
+        matrix = [str(instance_dir / "A.mtx")] if single else []
+        assert main(["select", *matrix, "-k", "3", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {unread}\n"
+
     def test_malformed_matrix_exits_3(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2,3\n4,5\n")

@@ -111,6 +111,25 @@ def test_bin_payload_size_is_named(tmp_path, name, size):
         read_matrix(str(p))
 
 
+@pytest.mark.parametrize("short", [0, 8], ids=["whole", "8-bytes-short"])
+def test_bin_from_a_pipe_is_read_whole(short):
+    # a file that is not regular has no size to check first: its payload is read whole
+    A = SplitMix64(5).normal_matrix(3, 4)
+    payload = BIN_MAGIC + struct.pack("<QQ", 3, 4) + A.astype("<f8").tobytes()
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as fh:
+        fh.write(payload[:len(payload) - short])
+    try:
+        path = f"/dev/fd/{r}"
+        if short:
+            with pytest.raises(BadShapeError, match=f"{path}: header says 3 x 4, got 88 payload"):
+                read_matrix(path, "bin")
+        else:
+            assert np.array_equal(read_matrix(path, "bin"), A)
+    finally:
+        os.close(r)
+
+
 @pytest.mark.parametrize("name, payload, reader, error", [
     ("missing.mtx", None, read_matrix, InputFileError),
     ("missing.bin", None, read_matrix, InputFileError),

@@ -18,6 +18,7 @@ from sepnmf.lowrank import (
     subspace_basis,
 )
 from sepnmf.rng import SplitMix64
+from sepnmf.spa import spa_select
 from sepnmf.synth import generate_instance, rescale_noise, robust_noise_bound
 
 
@@ -215,6 +216,8 @@ class TestGramErrorNorm:
         assert scaled.Q.tobytes() == ap.Q.tobytes()
         assert np.array_equal(scaled.B, np.ldexp(ap.B, j))
         assert scaled.error2 == np.ldexp(ap.error2, j)
+        if method == "spa":  # the seed RankK runs on its scaled A picks as the checked entry
+            assert scaled.seed_indices.tolist() == spa_select(np.ldexp(A, j), 3).tolist()
 
     @pytest.mark.parametrize("q", [0, 1, 3])
     def test_gram_handed_in_changes_nothing(self, q):

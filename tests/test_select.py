@@ -334,16 +334,13 @@ def test_grid_instance_runs_each_shared_stage_once(monkeypatch):
     calls = {"svd_truncated": 0, "gram_matrix": 0, "solve_mvee": 0, "seed": 0}
     # the seed and G are RankK stages, read in lowrank; the others in select
     modules = {"svd_truncated": select_module, "gram_matrix": lowrank,
-               "solve_mvee": select_module, "spa_select": lowrank}
+               "solve_mvee": select_module, "spa_core": lowrank}
     wrapped = {name: getattr(module, name) for name, module in modules.items()}
 
     def counted(name):
         def wrapper(X, *args):
-            if name != "spa_select":
-                calls[name] += 1
-            elif X.shape == (d, m):
-                # picks run on k-row matrices; a d x m argument is the first pass on A
-                calls["seed"] += 1
+            # lowrank calls spa_core only for the first pass on A; picks go through spa_select
+            calls["seed" if name == "spa_core" else name] += 1
             return wrapped[name](X, *args)
         return wrapper
 

@@ -168,6 +168,19 @@ CORPUS = (
                                        "--method", "erspa", "--boundary-tol", "-1"]),
         ("select-batch-empty-deltas", ["select", "-k", "3", "--instances", "1", "-d", "20",
                                        "-m", "100", "--deltas", ",", "--out", "grid.csv"]),
+        # the comma-list grammar: a bad token, an unknown name, a bad q and
+        # lists with no entries
+        *[(f"select-{name}", ["select", "-k", "3", "--instances", "1", "-d", "20", "-m", "100",
+                              flag, value, "--out", "grid.csv"])
+          for name, flag, value in (("deltas-bad-number", "--deltas", "1,x"),
+                                    ("methods-unknown", "--methods", "spa,nope"),
+                                    ("methods-bad-q", "--methods", "mpspa:x"),
+                                    ("methods-empty", "--methods", ","))],
+        *[(f"unmix-drop-bands-{name}", ["unmix", os.path.join(CUBE, "A.bin"), "-k", "3",
+                                        "--drop-bands", value, "--out", "out"])
+          for name, value in (("reversed", "5-3"), ("not-a-band", "a"), ("empty", ",,"))],
+        ("synth-alpha-bad-number", ["synth", "-d", "20", "-m", "200", "-k", "3",
+                                    "--alpha", "0.5,,y", "-o", "."]),
         # flags the other select mode reads
         ("select-batch-single-flags", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "3",
                                        "--instances", "1", "-d", "12", "-m", "60",
@@ -177,6 +190,13 @@ CORPUS = (
         ("select-single-batch-flags", ["select", os.path.join(INSTANCE, "A.mtx"), "-k", "3",
                                        "--methods", "spa,pspa", "--deltas", "1", "--jobs", "2",
                                        "--out", "g2.csv"]),
+        # ... given at their default values, and by an abbreviation
+        ("select-single-default-batch-flags", ["select", os.path.join(INSTANCE, "A.mtx"), "-k",
+                                               "3", "--jobs", "1", "--delta-unit", "sigmin",
+                                               "--deltas", "0,0.5,1.0,1.5,2.0"]),
+        ("select-batch-default-single-flags", ["select", "-k", "3", "--method", "spa",
+                                               "--instances", "1", "-d", "12", "-m", "60",
+                                               "--trut", os.path.join(INSTANCE, "meta.json")]),
     ]
 )
 

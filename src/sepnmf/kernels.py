@@ -3,8 +3,8 @@ Gram-Schmidt, the successive-projection selection loop, and the
 ellipsoid dual-ascent loop.
 
 Each kernel returns its result and raises the package's typed errors
-itself. All loops operate on rows of C-ordered arrays so every inner
-np.dot sees contiguous memory.
+itself. Work on many vectors at once is one array operation: a round of
+Jacobi pairs, or SPA's pivot projected off all its picks.
 """
 
 import functools
@@ -133,12 +133,14 @@ def mgs_rows(W, rel_tol, order):
     return rank
 
 
-def _residual_sq(A, U):
-    # exact squared column norms of (I - U^T U) A, projected out twice
-    Rm = A.copy()
+def _project_out(X, U):
+    # (I - U^T U) X for orthonormal rows U by block products, projected out
+    # twice: classical Gram-Schmidt twice is enough (Giraud, Langou &
+    # Rozloznik, Comput. Math. Appl. 2005)
+    X = X.copy()
     for _rep in range(2):
-        Rm -= U.T @ (U @ Rm)
-    return np.einsum("ij,ij->j", Rm, Rm)
+        X -= U.T @ (U @ X)
+    return X
 
 
 def spa_core(A, k, rel_tol):
@@ -146,14 +148,13 @@ def spa_core(A, k, rel_tol):
     # downdate sq[j] -= (u . a_j)^2, u the unit residual of the pivot.
     # Ties at the argmax go to the smallest column index. The floor is rel_tol
     # times ||A||_F, read off the squared column norms summed below. The
-    # downdate cancels to noise once residuals fall below ~1e-8 of their column
-    # norms, so a round that finds no residual above the floor recomputes the
-    # norms exactly and retakes its pick before it gives up. Returns the k
-    # picks in order; raises RankDeficientError when residuals run out.
+    # pivot's residual is _project_out of its column. The downdate cancels to
+    # noise once residuals fall below ~1e-8 of their column norms, so a round
+    # that finds no residual above the floor recomputes the norms exactly, as
+    # _project_out of A, and retakes its pick before it gives up. Returns the
+    # k picks in order; raises RankDeficientError when residuals run out.
     d, m = A.shape
-    sq = np.zeros(m)
-    for i in range(d):
-        sq += A[i] * A[i]
+    sq = np.einsum("ij,ij->j", A, A)
     norm_floor = rel_tol * math.sqrt(sq.sum())
     U = np.empty((k, d))
     idx = np.zeros(k, np.int64)
@@ -161,14 +162,12 @@ def spa_core(A, k, rel_tol):
     for r in range(k):
         for exact in (False, True):
             if exact:
-                sq = _residual_sq(A, U[:r])
+                R = _project_out(A, U[:r])
+                sq = np.einsum("ij,ij->j", R, R)
             j = int(np.argmax(sq))
             nv = 0.0
             if sq[j] > floor2:
-                v = A[:, j].copy()
-                for _rep in range(2):
-                    for rr in range(r):
-                        v -= np.dot(U[rr], v) * U[rr]
+                v = _project_out(A[:, j], U[:r])
                 nv = math.sqrt(np.dot(v, v))
             if nv > norm_floor:
                 break

@@ -85,7 +85,7 @@ def solve_mvee(P, eps=DEFAULT_EPS):
     # every pass takes ascent steps, grows the working set or ends the loop,
     # so the step budget bounds it
     while iters < MAX_INNER_ITERS:
-        kappa = np.einsum("ij,jl,il->i", Pw, minv, Pw)
+        kappa = np.einsum("ij,ij->i", Pw @ minv, Pw)
         status, done = kernels.mvee_ascent(
             Pw, u, minv, kappa, eps, min(_REFRESH_EVERY, MAX_INNER_ITERS - iters)
         )
@@ -93,7 +93,7 @@ def solve_mvee(P, eps=DEFAULT_EPS):
         minv = _inv_moment(Pw, u)  # the burst updated minv in place; start afresh
         L = minv / k
         L = 0.5 * (L + L.T)
-        viol = np.einsum("ij,jl,il->i", pts, L, pts) - 1.0
+        viol = np.einsum("ij,ij->i", pts @ L, pts) - 1.0
         u_full[ws] = u
         support = np.flatnonzero(u_full > _SUPPORT_TOL)
         ell = Ellipsoid(L, u_full, support, float(viol.max()), iters)
@@ -127,4 +127,4 @@ def ellipsoid_support(L, P):
         raise DimensionMismatchError(
             f"L is {Lm.shape} but points have dimension {P.shape[0]}"
         )
-    return np.einsum("ji,jl,li->i", P, Lm, P)
+    return np.einsum("ij,ij->j", Lm @ P, P)

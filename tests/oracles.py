@@ -2,7 +2,8 @@
 
 These deliberately take the slow, obvious route so they share no code
 path with the production implementations they check: the selection
-oracle materializes full projectors, the ellipsoid oracle runs plain
+oracle materializes full projectors, the quadratic forms p^T L p are one
+three-operand einsum, the ellipsoid oracle runs plain
 coordinate ascent on the complete point set to near-exact precision, the
 abundance oracle enumerates every support pattern, and the simplex
 projection oracle sorts each row (Held, Wolfe & Crowder 1974).
@@ -30,6 +31,11 @@ def naive_spa(A, k):
     return np.asarray(idx)
 
 
+def quadratic_forms(P, L):
+    """p^T L p for every column p of P, as one three-operand einsum."""
+    return np.einsum("ji,jl,li->i", P, L, P)
+
+
 def khachiyan_logdet(P, eps=1e-10, max_iter=500_000):
     """High-precision dual ascent on the full point set.
 
@@ -46,7 +52,7 @@ def khachiyan_logdet(P, eps=1e-10, max_iter=500_000):
     def refresh():
         M = (pts * u[:, None]).T @ pts
         minv = np.linalg.inv(M)
-        kappa = np.einsum("ij,jl,il->i", pts, minv, pts)
+        kappa = quadratic_forms(pts.T, minv)
         return minv, kappa
 
     minv, kappa = refresh()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from oracles import khachiyan_logdet
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import khachiyan_logdet, quadratic_forms
 
 from sepnmf.errors import DimensionMismatchError, RankDeficientError, SepnmfError
 from sepnmf.linalg import spectral_norm, svd_truncated
@@ -116,7 +118,7 @@ def test_degenerate_zero_noise_design_grows_working_set_early():
     k = P.shape[0]
     vertices = generate_instance(10, 80, k, 0.0, seed=10_081).true_indices
     M_inv = np.linalg.inv(P[:, vertices] @ P[:, vertices].T / k)
-    gap = k * np.log(np.einsum("ij,jl,li->i", P.T, M_inv, P).max() / k)
+    gap = k * np.log(quadratic_forms(P, M_inv).max() / k)
     assert gap <= 1e-12
     sign_opt, logdet_opt = np.linalg.slogdet(M_inv / k)
     assert sign_opt > 0
@@ -221,6 +223,18 @@ class TestSupportValues:
         vals = ellipsoid_support(L, P)
         want = np.array([P[:, i] @ L @ P[:, i] for i in range(30)])
         assert np.abs(vals - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 60), st.integers(0, 2**32), st.floats(0.0, 12.0))
+    def test_matches_three_operand_oracle(self, k, m, seed, log_cond):
+        # SPD L of condition up to 1e12; each form within the roundoff of two
+        # k-term products, 4 k eps (|P|^T |L| |P|), of the oracle's
+        r = SplitMix64(seed)
+        Q = np.linalg.qr(r.normal_matrix(k, k))[0]
+        L = (Q * np.logspace(0.0, -log_cond, k)) @ Q.T
+        P = r.normal_matrix(k, m)
+        err = np.abs(ellipsoid_support(L, P) - quadratic_forms(P, L))
+        assert (err <= 4 * k * np.finfo(float).eps * quadratic_forms(np.abs(P), np.abs(L))).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

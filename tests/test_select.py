@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import quadratic_forms
 
 from sepnmf import bench, lowrank
 from sepnmf import select as select_module
@@ -115,7 +116,7 @@ def test_erspa_candidates_cover_truth_at_zero_noise():
     f = svd_truncated(inst.A, 4)
     P = f.S[:, None] * f.V.T
     ell = solve_mvee(P, 1e-6)
-    vals = np.einsum("ji,jl,li->i", P, ell.L, P)
+    vals = quadratic_forms(P, ell.L)
     cand = set(np.flatnonzero(np.abs(vals - 1.0) <= 1e-3).tolist())
     assert set(inst.true_indices.tolist()) <= cand
     res = erspa_select(inst.A, 4)

@@ -46,10 +46,14 @@ class TestSelection:
             spa_select(np.array([[1.0, 1.0], [1e-13, -1e-13]]), 2)
 
     def test_matches_naive_oracle_many_seeds(self):
+        # wide, tall and square inputs up to k = min(d, m): the last round
+        # projects its pivot off min(d, m) - 1 picks, and the wide and square
+        # shapes' k = d picks span R^d
         for seed in range(40):
-            A = SplitMix64(seed).normal_matrix(10, 50)
-            for k in (1, 3, 8):
-                assert spa_select(A, k).tolist() == naive_spa(A, k).tolist(), (seed, k)
+            for d, m in ((10, 50), (50, 10), (12, 12)):
+                A = SplitMix64(seed).normal_matrix(d, m)
+                for k in sorted({1, 3, 8, min(d, m)}):
+                    assert spa_select(A, k).tolist() == naive_spa(A, k).tolist(), (seed, d, m, k)
 
     def test_residual_monotonicity(self):
         A = SplitMix64(77).normal_matrix(15, 60)

@@ -11,7 +11,8 @@ checkouts tell a tie-break (order or equal-recovery swaps) from a loss.
 
 Each file after the first is also compared with the first record by record:
 per group, "moved/reordered" counts the records whose index set (or error)
-changed and those whose picks changed in order alone.
+changed and those whose picks changed in order alone. A last row, "total all",
+sums those counts over every group.
 """
 
 import json
@@ -63,6 +64,11 @@ def pick_changes(base, other):
     return counts
 
 
+def total_changes(counts):
+    """[moved, reordered] summed over the groups of one pick_changes result."""
+    return [sum(c[i] for c in counts.values()) for i in (0, 1)]
+
+
 def main(paths):
     if not paths:
         sys.exit(f"usage: {sys.argv[0]} PICKS.json [PICKS.json ...]")
@@ -78,6 +84,7 @@ def main(paths):
     for group in sorted(set().union(*tables)):
         print(*group, *(f"{t[group]:.4f}" if group in t else "-" for t in tables),
               *("{}/{}".format(*c.get(group, (0, 0))) for c in changes))
+    print("total all", *("-" for _ in tables), *("{}/{}".format(*total_changes(c)) for c in changes))
 
 
 if __name__ == "__main__":

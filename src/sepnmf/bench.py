@@ -56,6 +56,7 @@ _TAB2_SHAPES = {
     "tiny": [(20, 400, 5), (30, 300, 5)],
 }
 _TAB2_DELTA_MULT = 1.0  # tab2's noise, in multiples of sigma_min(F)
+_TAB2_REPS, _TAB2_Q = 3, 10  # tab2's runs per shape and the engines' power exponent
 
 
 def _run_tasks(tasks, worker, jobs):
@@ -98,15 +99,13 @@ def _fig1_worker(task):
     return rows
 
 
-def fig1_suite(out_dir, scale="desk", seed=0, jobs=1, q_list=None, deltas=None, instances=None):
+def fig1_suite(out_dir, scale="desk", seed=0, jobs=1):
     cfg = _SCALES[scale]
     d, m, k = cfg["fig_shape"]
-    n_inst = instances or cfg["fig_instances"]
-    q_list = q_list or Q_GRID
-    deltas = deltas if deltas is not None else DELTA_GRID
-    tasks = [(d, m, k, seed * 100_003 + i, tuple(q_list), tuple(deltas)) for i in range(n_inst)]
+    n_inst = cfg["fig_instances"]
+    tasks = [(d, m, k, seed * 100_003 + i, tuple(Q_GRID), tuple(DELTA_GRID)) for i in range(n_inst)]
     records = [row for rows in _run_tasks(tasks, _fig1_worker, jobs) for row in rows]
-    cells = [(t, q) for t in deltas for q in q_list]
+    cells = [(t, q) for t in DELTA_GRID for q in Q_GRID]
     means = _cell_means(records, ("delta_mult", "q"), cells, ("delta", "abs_error"))
     csv_rows = [(delta, q, err, delta) for (_, q), (delta, err) in zip(cells, means)]
     _emit(
@@ -172,25 +171,10 @@ def selector_grid(csv_path, d, m, k, seed, instances, methods, deltas, eps=DEFAU
     return csv_rows, records
 
 
-def fig2_suite(
-    out_dir,
-    scale="desk",
-    seed=0,
-    jobs=1,
-    methods=None,
-    deltas=None,
-    instances=None,
-):
+def fig2_suite(out_dir, scale="desk", seed=0, jobs=1):
     cfg = _SCALES[scale]
-    return selector_grid(
-        os.path.join(out_dir, "fig2.csv"),
-        *cfg["fig_shape"],
-        seed,
-        instances or cfg["fig_instances"],
-        methods or FIG2_METHODS,
-        deltas if deltas is not None else DELTA_GRID,
-        jobs=jobs,
-    )
+    return selector_grid(os.path.join(out_dir, "fig2.csv"), *cfg["fig_shape"], seed,
+                         cfg["fig_instances"], FIG2_METHODS, DELTA_GRID, jobs=jobs)
 
 
 def _tab2_worker(task):
@@ -218,13 +202,9 @@ def _tab2_worker(task):
     return rows
 
 
-def tab2_suite(out_dir, scale="desk", seed=0, jobs=1, reps=3, q=10, shapes=None):
-    shapes = shapes or _TAB2_SHAPES[scale]
-    tasks = [
-        (d, m, k, q, seed * 100_003 + rep)
-        for d, m, k in shapes
-        for rep in range(reps)
-    ]
+def tab2_suite(out_dir, scale="desk", seed=0, jobs=1):
+    shapes, q = _TAB2_SHAPES[scale], _TAB2_Q
+    tasks = [(d, m, k, q, seed * 100_003 + rep) for d, m, k in shapes for rep in range(_TAB2_REPS)]
     records = [row for rows in _run_tasks(tasks, _tab2_worker, jobs) for row in rows]
     cells = [(d, m, k, method) for d, m, k in shapes for method in APPROX_NAMES]
     means = _cell_means(
@@ -238,7 +218,7 @@ def tab2_suite(out_dir, scale="desk", seed=0, jobs=1, reps=3, q=10, shapes=None)
         os.path.join(out_dir, "tab2.csv"),
         ["d", "m", "k", "method", "q", "mean_time_s", "mean_abs_error", "mean_rel_error"],
         csv_rows,
-        {"shapes": shapes, "reps": reps, "seed": seed, "q": q, "records": records},
+        {"shapes": shapes, "reps": _TAB2_REPS, "seed": seed, "q": q, "records": records},
     )
     return csv_rows, records
 

@@ -49,7 +49,8 @@ def build_parser():
     s.add_argument("-d", type=int, required=True)
     s.add_argument("-m", type=int, required=True)
     s.add_argument("-k", type=int, required=True)
-    s.add_argument("--delta", type=float, default=0.0, help="spectral norm of the noise")
+    s.add_argument("--delta", type=_nonnegative_float, default=0.0,
+                   help="spectral norm of the noise")
     s.add_argument("--alpha", type=_float_list,
                    help="comma list of k Dirichlet parameters in (0,1]")
     s.add_argument("-o", "--out", required=True, help="output directory")
@@ -85,8 +86,8 @@ def build_parser():
     c.add_argument("--instances", type=_positive_int, help="batch mode: instances per grid cell")
     c.add_argument("-d", action=_Given, type=int, help="batch mode: rows")
     c.add_argument("-m", action=_Given, type=int, help="batch mode: columns")
-    c.add_argument("--deltas", action=_Given, type=_float_list, default="0,0.5,1.0,1.5,2.0",
-                   help="batch noise grid")
+    c.add_argument("--deltas", action=_Given, type=_comma_list(_nonnegative_float, "numbers"),
+                   default="0,0.5,1.0,1.5,2.0", help="batch noise grid")
     c.add_argument("--delta-unit", action=_Given, choices=("sigmin", "abs"), default="sigmin",
                    help="deltas are multipliers of sigma_min(F) or absolute")
     c.add_argument("--methods", action=_Given, type=_method_list,

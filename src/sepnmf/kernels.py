@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import NoConvergenceError, RankDeficientError
 
+REL_DEGENERATE_TOL = 1e-12  # spa_core's residual floor, relative to ||A||_F
+
 
 @functools.lru_cache(maxsize=128)
 def _round_robin(r, lead=None):
@@ -143,19 +145,20 @@ def _project_out(X, U):
     return X
 
 
-def spa_core(A, k, rel_tol):
+def spa_core(A, k):
     # Greedy max-norm column picks with the incremental squared-norm
     # downdate sq[j] -= (u . a_j)^2, u the unit residual of the pivot.
-    # Ties at the argmax go to the smallest column index. The floor is rel_tol
-    # times ||A||_F, read off the squared column norms summed below. The
-    # pivot's residual is _project_out of its column. The downdate cancels to
+    # Ties at the argmax go to the smallest column index. The floor is
+    # REL_DEGENERATE_TOL times ||A||_F, read off the squared column norms
+    # summed below (A finite, C-ordered and pow2_scaled). The pivot's
+    # residual is _project_out of its column. The downdate cancels to
     # noise once residuals fall below ~1e-8 of their column norms, so a round
     # that finds no residual above the floor recomputes the norms exactly, as
     # _project_out of A, and retakes its pick before it gives up. Returns the
     # k picks in order; raises RankDeficientError when residuals run out.
     d, m = A.shape
     sq = np.einsum("ij,ij->j", A, A)
-    norm_floor = rel_tol * math.sqrt(sq.sum())
+    norm_floor = REL_DEGENERATE_TOL * math.sqrt(sq.sum())
     U = np.empty((k, d))
     idx = np.zeros(k, np.int64)
     floor2 = norm_floor * norm_floor

@@ -210,8 +210,7 @@ def eigh_sym(S):
     S = as_matrix(S, "S")
     if S.shape[1] != S.shape[0]:
         raise NotSymmetricError(f"matrix is {S.shape}, not square")
-    scale = max(1.0, float(np.abs(S).max()))
-    if np.abs(S - S.T).max() > _SYM_TOL * scale:
+    if np.abs(S - S.T).max() > _SYM_TOL * np.abs(S).max():
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     lam, V = np.linalg.eigh(0.5 * (S + S.T))
     order = np.argsort(-np.abs(lam), kind="stable")
@@ -248,7 +247,7 @@ def psd_sqrt(L):
 
     Eigenvalues in [-1e-10 * ||L||_2, 0) are clamped to zero; anything more
     negative raises NotPsd. A reconstruction check (|C C - L| within
-    1e-8 max(1, ||L||_2) entrywise) guards the eigendecomposition.
+    1e-8 ||L||_2 entrywise) guards the eigendecomposition.
     """
     L = as_matrix(L, "L")
     lam, V = eigh_sym(L)
@@ -260,6 +259,6 @@ def psd_sqrt(L):
     C = (V * np.sqrt(lam)) @ V.T
     C = 0.5 * (C + C.T)
     err = np.abs(C @ C - L).max()
-    if err > 1e-8 * max(1.0, norm2):
+    if err > 1e-8 * norm2:
         raise NotPsdError("square-root reconstruction failed; input is not PSD")
     return C

@@ -13,10 +13,10 @@ their seed:
         optimal rank-k reference for the other two.
 
 The power stage is subspace_basis. A power round maps Q to an
-orthonormal basis of A A^T Q. A wide d x m input (d <= m, carries_gram)
-with q >= 1 forms G = A A^T once (gram_matrix) and multiplies its rounds
-by G; a tall one takes the alternating chain, which multiplies by A^T and
-then by A and orthonormalizes after each. G carries roundoff of order
+orthonormal basis of A A^T Q. On a wide d x m A (d <= m, carries_gram)
+with q >= 1, RankK forms G = A A^T once (gram_matrix) and hands it in
+for the rounds to multiply by; a tall A gets no G and takes the chain,
+which multiplies by A^T and then by A and orthonormalizes after each. G carries roundoff of order
 eps * sigma_1^2, so it loses the directions whose sigma_j / sigma_1 falls
 below about sqrt(eps) (Halko, Martinsson & Tropp, SIAM Rev. 2011, 4.5):
 when the Gram rounds drop a column or leave the top k unresolved, the
@@ -28,7 +28,8 @@ formed, unless _residual_norm's accuracy guard refuses.
 
 spa_rank_approx and rand_subspace_approx are shorthands for the first
 two. The bound diagnostics (bound_report) evaluate every quantity of
-the approximation-error analysis on a concrete spa run.
+the approximation-error analysis on a concrete spa run. The same G gives
+the selectors A's top-k factors (RankK._top_factors, by gram_resolves).
 """
 
 import math
@@ -49,7 +50,6 @@ from .linalg import (
 )
 from .reports import stage
 from .rng import SplitMix64
-from .spa import REL_DEGENERATE_TOL
 
 _RANK_B_REL = 1e-10
 _RITZ_REL = 1e-10  # G resolves the top k when lambda_k >= this * lambda_1 (gram_resolves)
@@ -98,21 +98,19 @@ class BoundReport:
     singular_z1: bool = False
 
 
-def subspace_basis(A, start, q, *, gram=None):
+def subspace_basis(A, start, q, G):
     """Orthonormal basis of range((A A^T)^q @ start), stabilized.
 
-    Orthonormalizes the start, then runs q power rounds from it: on
-    G = A A^T when A carries_gram and the Gram rounds' guard holds, else
-    on the alternating chain. Orthonormalizing once per Gram round (q + 1
-    times in total) or after every multiplication by A or A^T on the
-    chain (2q + 1 times) keeps the iterate representable for large q.
-    The column count can shrink if the iterate loses rank. gram is G of
-    a RankK that holds A already scaled; without it G is formed from
-    pow2_scaled(A), and the basis is the same bytes either way.
+    Orthonormalizes the start, then runs q power rounds from it: on G, the
+    gram_matrix(A) a RankK hands in when A carries_gram (None otherwise),
+    while the Gram rounds' guard holds, else on the alternating chain.
+    Orthonormalizing once per Gram round (q + 1 times in total) or after
+    every multiplication by A or A^T on the chain (2q + 1 times) keeps the
+    iterate representable for large q; its column count can shrink.
     """
     Q = orthonormalize(start)
-    if q and carries_gram(A):
-        Z = _gram_rounds(gram_matrix(pow2_scaled(A)[0]) if gram is None else gram, Q, q)
+    if q and G is not None:
+        Z = _gram_rounds(G, Q, q)
         if Z is not None:
             return Z
     for _ in range(q):
@@ -172,15 +170,27 @@ class RankK:
 
     def _seed(self):
         """First-pass picks I0 = spa_select(A, k): spa_core on the checked, scaled A."""
-        return self._memo("seed", lambda: spa_core(self.A, self.k, REL_DEGENERATE_TOL))
+        return self._memo("seed", lambda: spa_core(self.A, self.k))
 
     def _gram(self):
         """gram_matrix(A) once when A carries_gram (is wide), else None."""
         return self._memo("gram", lambda: gram_matrix(self.A) if carries_gram(self.A) else None)
 
+    def _top_factors(self):
+        """(U_k, S_k, P = U_k^T A = S_k V_k^T) for the svd stage: eigh(G) on a wide A
+        whose G resolves the top k (gram_resolves), else svd_truncated(A, k)."""
+        A, k, G = self.A, self.k, self._gram()
+        if G is not None:
+            lam, U = np.linalg.eigh(G)
+            if gram_resolves(lam[-k:]):
+                U, lam = U[:, :-k - 1:-1], lam[:-k - 1:-1]
+                return U, np.sqrt(lam), U.T @ A
+        f = svd_truncated(A, k)
+        return f.U, f.S, np.ascontiguousarray(f.S[:, None] * f.V.T)
+
     def _rounds(self, start, q):
-        """subspace_basis(A, start, q) on the shared G."""
-        return subspace_basis(self.A, start, q, gram=self._gram() if q else None)
+        """subspace_basis(A, start, q) on the shared G, formed only for q >= 1."""
+        return subspace_basis(self.A, start, q, self._gram() if q else None)
 
     def _basis(self, q):
         """subspace_basis(A, A(I0), q), once per q."""

@@ -7,7 +7,7 @@ with its own records. Every record carries the seed that reproduces it.
 
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,11 +23,8 @@ class ExperimentReport:
     method: str
     parameters: dict
     records: list
-    aggregates: dict = field(default_factory=dict)
     bound_fields: dict | None = None
     error: str | None = None
-    toolkit_version: str = __version__
-    rng_name: str = RNG_NAME
 
 
 def compute_aggregates(records):
@@ -47,8 +44,9 @@ def compute_aggregates(records):
 
 
 def write_report(path, report):
-    report.aggregates = compute_aggregates(report.records)
-    write_json(path, asdict(report))
+    """Write report as JSON with its aggregates, the toolkit version and the RNG name."""
+    write_json(path, {**asdict(report), "aggregates": compute_aggregates(report.records),
+                      "toolkit_version": __version__, "rng_name": RNG_NAME})
 
 
 @contextmanager

@@ -4,10 +4,9 @@ Every selector is successive projection on a transformed matrix, built
 from stages that an Analysis(A, k, eps), a lowrank.RankK, computes once
 per matrix and shares between the methods run on it:
 
-  compress  svd       P = U_k^T A = Sigma_k V_k^T, A's top k singular pairs:
-                      on a wide A from eigh of the shared G = A A^T when
-                      lambda_k >= 1e-10 lambda_1 (lowrank.gram_resolves, as
-                      for the Gram power rounds), else svd_truncated(A, k).
+  compress  svd       P = U_k^T A = Sigma_k V_k^T, A's top k singular pairs
+                      (RankK._top_factors): from eigh of the shared G = A A^T
+                      when G resolves them, else svd_truncated(A, k).
             subspace  P = Q^T A, Q the subspace-iteration basis seeded by
                       the first-pass picks I0 = spa_select(A, k) (power
                       exponent q; on a wide A the rounds run on G).
@@ -42,11 +41,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadRankError, RankDeficientError
-from .linalg import psd_sqrt, svd_full, svd_truncated
-from .lowrank import RankK, gram_resolves
+from .kernels import spa_core
+from .linalg import psd_sqrt, svd_full
+from .lowrank import RankK
 from .mvee import DEFAULT_EPS, ellipsoid_support, solve_mvee
 from .reports import stage
-from .spa import spa_select
 
 DEFAULT_BOUNDARY_TOL = 1e-3
 DEFAULT_Q = 10
@@ -86,10 +85,10 @@ def _boundary_pick(P, ell, C, k, boundary_tol, notes):
     if cand.size < k:
         # too few boundary points: degrade to selection on the whitened data
         notes.append(f"only {cand.size} boundary points; fell back to whitened selection")
-        return spa_select(np.ascontiguousarray(C @ P), k)
+        return spa_core(np.ascontiguousarray(C @ P), k)
     if cand.size == k:
         return np.sort(cand)
-    return cand[spa_select(np.ascontiguousarray(P[:, cand]), k)]
+    return cand[spa_core(np.ascontiguousarray(P[:, cand]), k)]
 
 
 class Analysis(RankK):
@@ -101,19 +100,6 @@ class Analysis(RankK):
     def __init__(self, A, k, eps=DEFAULT_EPS):
         super().__init__(A, k)
         self.eps = eps
-
-    def _top_factors(self):
-        """(U_k, S_k, P = U_k^T A = S_k V_k^T) for the svd stage: from eigh(G)
-        on a wide A whose G resolves the top k (gram_resolves), else from
-        svd_truncated(A, k)."""
-        A, k, G = self.A, self.k, self._gram()
-        if G is not None:
-            lam, U = np.linalg.eigh(G)
-            if gram_resolves(lam[-k:]):
-                U, lam = U[:, :-k - 1:-1], lam[:-k - 1:-1]
-                return U, np.sqrt(lam), U.T @ A
-        f = svd_truncated(A, k)
-        return f.U, f.S, np.ascontiguousarray(f.S[:, None] * f.V.T)
 
     def select(self, method, q=None, boundary_tol=DEFAULT_BOUNDARY_TOL):
         """Run the selector named `method` (a key of SELECTORS) on A.
@@ -177,7 +163,7 @@ class Analysis(RankK):
         if pick == "spa":
             with stage(timing, "spa"):
                 # plain selection on A is the first pass itself
-                idx = self._seed().copy() if C is None else spa_select(
+                idx = self._seed().copy() if C is None else spa_core(
                     np.ascontiguousarray(C @ X), k)
         else:
             with stage(timing, "boundary"):
@@ -206,9 +192,9 @@ def mpspa_select(A, k, q):
     return select(A, k, "mpspa", q)
 
 
-def erspa_select(A, k, boundary_tol=DEFAULT_BOUNDARY_TOL):
+def erspa_select(A, k):
     """Ellipsoid-boundary candidates, successive projection as tie-break."""
-    return select(A, k, "erspa", boundary_tol=boundary_tol)
+    return select(A, k, "erspa")
 
 
 def merspa_select(A, k, q):

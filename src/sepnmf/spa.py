@@ -12,8 +12,6 @@ from . import kernels
 from .errors import BadRankError
 from .linalg import as_matrix, pow2_scaled
 
-REL_DEGENERATE_TOL = 1e-12
-
 
 def spa_select(A, k):
     """Indices of k successively projected max-norm columns, in pick order.
@@ -26,5 +24,5 @@ def spa_select(A, k):
     d, m = A.shape
     if not (1 <= k <= min(d, m)):
         raise BadRankError(f"k must satisfy 1 <= k <= {min(d, m)}, got {k}")
-    return kernels.spa_core(A, k, REL_DEGENERATE_TOL)
+    return kernels.spa_core(A, k)
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 
 from sepnmf import bench, lowrank
-from sepnmf.bench import _fig2_worker, fig1_suite, fig2_suite, run_suites, tab2_suite
+from sepnmf.bench import _fig2_worker, _tab2_worker, fig1_suite, run_suites, selector_grid
 from sepnmf.cli import _method_list, main
 from sepnmf.errors import SepnmfError
 from sepnmf.lowrank import spa_rank_approx
@@ -14,10 +14,8 @@ WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "wor
 
 
 def test_fig1_rows_and_upper_bound(tmp_path):
-    rows, records = fig1_suite(
-        str(tmp_path), scale="tiny", seed=1, q_list=[1, 10], deltas=[0.0, 1.0], instances=3
-    )
-    assert len(rows) == 4
+    rows, records = fig1_suite(str(tmp_path), scale="tiny", seed=1)
+    assert len(rows) == len(bench.DELTA_GRID) * len(bench.Q_GRID)
     for delta, q, mean_err, upper in rows:
         assert upper == delta
         if q == 10:
@@ -28,7 +26,7 @@ def test_fig1_worker_forms_one_gram_matrix_per_matrix(monkeypatch):
     formed, form = [], lowrank.gram_matrix
     monkeypatch.setattr(lowrank, "gram_matrix", lambda A: formed.append(1) or form(A))
     seeded, pick = [], lowrank.spa_core
-    monkeypatch.setattr(lowrank, "spa_core", lambda A, k, tol: seeded.append(1) or pick(A, k, tol))
+    monkeypatch.setattr(lowrank, "spa_core", lambda A, k: seeded.append(1) or pick(A, k))
     task = (20, 300, 4, 3, (1, 2, 10), (0.0, 1.0))
     rows = bench._fig1_worker(task)
     assert len(formed) == len(seeded) == 2  # one G and one seed per noise level, for its three q
@@ -39,10 +37,10 @@ def test_fig1_worker_forms_one_gram_matrix_per_matrix(monkeypatch):
 
 
 def test_fig2_rows_structure(tmp_path):
+    # fig2's tiny grid shape, on two of its methods and noise levels
     methods = [("spa", None), ("mpspa", 1)]
-    rows, records = fig2_suite(
-        str(tmp_path), scale="tiny", seed=1, methods=methods, deltas=[0.0, 0.5], instances=2
-    )
+    rows, records = selector_grid(str(tmp_path / "fig2.csv"), *bench._SCALES["tiny"]["fig_shape"],
+                                  1, 2, methods, [0.0, 0.5])
     assert len(rows) == 4
     assert all(0.0 <= r[3] <= 1.0 for r in rows)
     # zero-noise cells recover exactly
@@ -67,17 +65,15 @@ def test_select_grid_zero_noise_recovers_exactly():
         assert len(rows) == len(methods) and not missed, (cli_seed, missed)
 
 
-def test_tab2_selection_path_beats_svd_on_wide_shapes(tmp_path):
+def test_tab2_selection_path_beats_svd_on_wide_shapes():
     # scaled-down sweep over wide shapes: construction time of the seeded
     # subspace engine stays below the truncated SVD on every shape
-    shapes = [(50, 3000, 10), (100, 1000, 10)]
-    rows, records = tab2_suite(str(tmp_path), seed=2, reps=1, q=10, shapes=shapes)
-    by = {(r[0], r[1], r[3]): r for r in rows}
-    for d, m, k in shapes:
-        t_spa = by[(d, m, "spa")][5]
-        t_svd = by[(d, m, "svd")][5]
+    for d, m, k in [(50, 3000, 10), (100, 1000, 10)]:
+        by = {r["method"]: r for r in _tab2_worker((d, m, k, 10, 2 * 100_003))}
+        t_spa = by["spa"]["time_seconds"]
+        t_svd = by["svd"]["time_seconds"]
         assert t_spa < t_svd, (d, m, t_spa, t_svd)
-        assert by[(d, m, "spa")][7] <= 1.03 * by[(d, m, "svd")][7]
+        assert by["spa"]["rel_error"] <= 1.03 * by["svd"]["rel_error"]
 
 
 def test_run_suites_summary(tmp_path):

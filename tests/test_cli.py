@@ -701,12 +701,41 @@ class TestFlagMap:
         ("select", "--boundary-tol", "-1"),
         ("select", "--boundary-tol", "nan"),
         ("select", "--deltas", ","),
+        ("select", "--deltas", "-1"),
+        ("select", "--deltas", "0,nan"),
+        ("synth", "--delta", "-1"),
+        ("synth", "--delta", "nan"),
         ("synth", "--alpha", ","),
     ])
     def test_out_of_range_value_exits_2(self, command, flag, text, capsys):
         code, err = _usage_exit(BASE_ARGV[command] + [flag, text], capsys)
         assert code == 2
         assert f"argument {flag}:" in err
+
+
+REPORT_KEYS = {"aggregates", "bound_fields", "error", "method", "parameters", "records",
+               "rng_name", "toolkit_version"}
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize("argv, code", [
+        (["approx", "A.mtx", "-k", "4", "--bounds"], 0),
+        (["select", "A.mtx", "-k", "4", "--method", "mpspa", "--truth", "meta.json"], 0),
+        (["select", "A.mtx", "-k", "21", "--method", "pspa"], 3),  # k > d: the error report
+    ], ids=["approx", "select", "error"])
+    def test_report_keys_and_one_record_aggregates(self, instance_dir, tmp_path, argv, code):
+        rep_path = str(tmp_path / "rep.json")
+        argv = [str(instance_dir / a) if a.endswith((".mtx", ".json")) else a for a in argv]
+        assert main(argv + ["--report", rep_path]) == code
+        rep = read_json(rep_path)
+        assert set(rep) == REPORT_KEYS
+        assert (rep["error"] is None) == (code == 0)
+        assert len(rep["records"]) == (code == 0)
+        assert set(rep["aggregates"]) == {key for key in ("recovery_rate", "abs_error", "rel_error")
+                                          if rep["records"] and key in rep["records"][0]}
+        for key, agg in rep["aggregates"].items():
+            value = rep["records"][0][key]
+            assert agg == {"mean": value, "median": value, "min": value, "max": value}
 
 
 class TestDeterminism:

@@ -281,6 +281,19 @@ class TestEighSym:
         assert np.all(np.diff(np.abs(lam)) <= 0.0)
 
 
+@pytest.mark.parametrize("j", [-900, -300, -34, 0, 300, 900])
+def test_symmetry_checks_are_relative_to_scale(j):
+    # an absolute floor of 1 accepted any matrix below about 2**-34 as symmetric
+    with pytest.raises(NotSymmetricError):
+        eigh_sym(np.ldexp(np.array([[0.0, 1.0], [0.0, 0.0]]), j))
+    with pytest.raises(NotSymmetricError):
+        psd_sqrt(np.ldexp(np.array([[1.0, 0.5], [0.0, 1.0]]), j))
+    L = np.ldexp(np.array([[2.0, 1.0], [1.0, 2.0]]), j)  # the same checks pass an SPD L
+    C = psd_sqrt(L)
+    assert np.abs(C @ C - L).max() <= 1e-14 * np.abs(L).max()
+    assert np.array_equal(eigh_sym(L)[0], np.ldexp(eigh_sym(np.ldexp(L, -j))[0], j))
+
+
 # (matrix, rank): wide and tall exercise the QR reduction on either side,
 # odd r the round-robin bye, and the graded rows (scaled 1 .. 1e-12) the
 # relative accuracy of the tiny singular values

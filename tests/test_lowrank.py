@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import projector_approx
 
 from sepnmf import kernels, lowrank
@@ -121,7 +123,7 @@ class TestPowerRounds:
         def takes_gram(shape, k, q):
             formed.clear()
             A = SplitMix64(25).normal_matrix(*shape)
-            subspace_basis(A, A[:, :k], q)
+            lowrank.RankK(A, k)._rounds(A[:, :k], q)
             return formed == [1]
 
         assert takes_gram((100, 20000), 10, 10)  # approx-wide
@@ -150,7 +152,8 @@ class TestPowerRounds:
     def test_flop_rule_picks_the_path(self, A, k, q, rounds):
         start = A[:, :k]
         assert carries_gram(A) == (rounds is _gram)
-        assert subspace_basis(A, start, q).tobytes() == rounds(A, orthonormalize(start), q).tobytes()
+        G = lowrank.gram_matrix(A) if carries_gram(A) else None
+        assert subspace_basis(A, start, q, G).tobytes() == rounds(A, orthonormalize(start), q).tobytes()
 
     @pytest.mark.parametrize(
         "A, k",
@@ -163,7 +166,8 @@ class TestPowerRounds:
     def test_guard_restarts_the_chain(self, A, k):
         start = SplitMix64(24).normal_matrix(40, k)
         assert carries_gram(A)
-        assert subspace_basis(A, start, 4).tobytes() == _chain(A, orthonormalize(start), 4).tobytes()
+        G = lowrank.gram_matrix(A)
+        assert subspace_basis(A, start, 4, G).tobytes() == _chain(A, orthonormalize(start), 4).tobytes()
 
 
 def _explicit_residual_norm_used(monkeypatch):
@@ -218,13 +222,6 @@ class TestGramErrorNorm:
         assert scaled.error2 == np.ldexp(ap.error2, j)
         if method == "spa":  # the seed RankK runs on its scaled A picks as the checked entry
             assert scaled.seed_indices.tolist() == spa_select(np.ldexp(A, j), 3).tolist()
-
-    @pytest.mark.parametrize("q", [0, 1, 3])
-    def test_gram_handed_in_changes_nothing(self, q):
-        A = _graded(1e-2)
-        start = A[:, :6]
-        gram = lowrank.gram_matrix(A)
-        assert subspace_basis(A, start, q, gram=gram).tobytes() == subspace_basis(A, start, q).tobytes()
 
     @pytest.mark.parametrize("method", ["spa", "rand"])
     def test_no_residual_matrix_is_allocated(self, method):
@@ -372,6 +369,29 @@ class TestBoundReport:
         ap = rand_subspace_approx(A, 2, 1, 0, seed=1)
         with pytest.raises(ValueError):
             bound_report(A, ap)
+
+
+# BoundReport fields that are singular values or their combinations
+_SIGMA_FIELDS = ("sigma_k", "sigma_k1", "sigma_min_AI", "rho", "g1_min", "g2_max",
+                 "error_bound", "margin_bound", "achieved_error")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(30, 400, 5), (40, 25, 4)]), st.integers(0, 2**16),
+       st.sampled_from([0, 1, 2, 5]), st.integers(-400, 400))
+def test_bound_report_undoes_the_exponent(shape, seed, q, j):
+    # bound_report on 2**j * A: every sigma-type field scales by exactly 2**j
+    # (None stays None), the quadratic bound's right-hand side by 2**(2j), and
+    # the rank, q and singularity flag are unchanged
+    d, m, k = shape
+    A = _bounded_instance(d, m, k, seed).A
+    rep = bound_report(A, spa_rank_approx(A, k, q))
+    Aj = np.ldexp(A, j)
+    got = bound_report(Aj, spa_rank_approx(Aj, k, q))
+    for name, exponent in [(name, j) for name in _SIGMA_FIELDS] + [("quadratic_rhs", 2 * j)]:
+        want = getattr(rep, name)
+        assert getattr(got, name) == (None if want is None else np.ldexp(want, exponent)), name
+    assert (got.rank_b, got.q, got.singular_z1) == (rep.rank_b, rep.q, rep.singular_z1)
 
 
 def test_bound_report_overflow_is_a_typed_error():

@@ -106,7 +106,7 @@ def test_erspa_fallback_when_boundary_sparse():
     # a Gaussian matrix: the ascent runs, so its support meets the boundary
     # only to within eps, not 1e-15
     A = SplitMix64(41).normal_matrix(10, 80)
-    res = erspa_select(A, 4, boundary_tol=1e-15)
+    res = select(A, 4, "erspa", boundary_tol=1e-15)
     assert res.indices.size == 4
     assert res.notes  # warning flag recorded
 
@@ -290,7 +290,7 @@ def test_gram_rounds_keep_the_chains_subspace_and_picks(monkeypatch, d, m, k, q,
     start = np.ascontiguousarray(analysis.A[:, analysis._seed()])
     Q_gram, picks = analysis._basis(q), analysis.select("mpspa", q).indices
     monkeypatch.setattr(lowrank, "gram_resolves", lambda lam: False)
-    Q_chain = lowrank.subspace_basis(analysis.A, start, q)
+    Q_chain = lowrank.subspace_basis(analysis.A, start, q, analysis._gram())
     assert Q_gram.tobytes() != Q_chain.tobytes()
     assert np.linalg.norm(Q_gram @ Q_gram.T - Q_chain @ Q_chain.T, 2) <= 1e-12
     assert sorted(select(A, k, "mpspa", q).indices) == sorted(picks)
@@ -333,14 +333,14 @@ def test_grid_instance_runs_each_shared_stage_once(monkeypatch):
                ("erspa", None), ("merspa", 15), ("prewhiten", None), ("spaspa", None))
     d, m, k = 20, 150, 4
     calls = {"svd_truncated": 0, "gram_matrix": 0, "solve_mvee": 0, "seed": 0}
-    # the seed and G are RankK stages, read in lowrank; the others in select
-    modules = {"svd_truncated": select_module, "gram_matrix": lowrank,
+    # the seed, G and the top-k factors are RankK stages, read in lowrank; the ellipsoid in select
+    modules = {"svd_truncated": lowrank, "gram_matrix": lowrank,
                "solve_mvee": select_module, "spa_core": lowrank}
     wrapped = {name: getattr(module, name) for name, module in modules.items()}
 
     def counted(name):
         def wrapper(X, *args):
-            # lowrank calls spa_core only for the first pass on A; picks go through spa_select
+            # lowrank calls spa_core only for the first pass on A; select calls its own for picks
             calls["seed" if name == "spa_core" else name] += 1
             return wrapped[name](X, *args)
         return wrapper
@@ -380,12 +380,12 @@ def _jacobi_outcomes(monkeypatch, A, k):
             return fn(*args)
         return wrapper
 
-    for name, module in (("svd_truncated", select_module), ("gram_matrix", lowrank)):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for name in ("svd_truncated", "gram_matrix"):
+        monkeypatch.setattr(lowrank, name, counted(name, getattr(lowrank, name)))
     analysis = Analysis(A, k)
     plain = {method: _outcome(lambda: analysis.select(method)) for method in SVD_METHODS}
     made = dict(calls)
-    monkeypatch.setattr(select_module, "gram_resolves", lambda lam: False)
+    monkeypatch.setattr(lowrank, "gram_resolves", lambda lam: False)
     jacobi = Analysis(A, k)
     return plain, {method: _outcome(lambda: jacobi.select(method)) for method in SVD_METHODS}, made
 

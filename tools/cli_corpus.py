@@ -168,6 +168,11 @@ CORPUS = (
                                        "--method", "erspa", "--boundary-tol", "-1"]),
         ("select-batch-empty-deltas", ["select", "-k", "3", "--instances", "1", "-d", "20",
                                        "-m", "100", "--deltas", ",", "--out", "grid.csv"]),
+        # a negative noise level is out of range whatever the data
+        ("select-batch-negative-deltas", ["select", "-k", "3", "--instances", "1", "-d", "20",
+                                          "-m", "100", "--deltas", "0,-1", "--out", "grid.csv"]),
+        ("synth-negative-delta", ["synth", "-d", "20", "-m", "200", "-k", "3", "--delta", "-1",
+                                  "-o", "."]),
         # the comma-list grammar: a bad token, an unknown name, a bad q and
         # lists with no entries
         *[(f"select-{name}", ["select", "-k", "3", "--instances", "1", "-d", "20", "-m", "100",

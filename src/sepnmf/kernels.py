@@ -15,19 +15,21 @@ import numpy as np
 from .errors import NoConvergenceError, RankDeficientError
 
 REL_DEGENERATE_TOL = 1e-12  # spa_core's residual floor, relative to ||A||_F
+JACOBI_TOL = 1e-14  # svd_jacobi_rows rotates a pair while |cos| of its rows exceeds this
+JACOBI_MAX_SWEEPS = 60  # svd_jacobi_rows raises when this many sweeps still rotate
 
 
 @functools.lru_cache(maxsize=128)
-def _round_robin(r, lead=None):
+def _round_robin(r, lead):
     # Brent-Luk schedule by the circle method: r - 1 rounds (r for odd r,
     # where slot r is a bye) of floor(r/2) disjoint pairs (i < j), each pair
-    # once; only pairs with i < lead (default r) are kept. Cached: read-only.
+    # once; only pairs with i < lead are kept. Cached: read-only.
     slots = list(range(r + r % 2))
     n = len(slots)
     rounds = []
     for _ in range(n - 1):
         pairs = np.array([sorted((slots[p], slots[n - 1 - p])) for p in range(n // 2)], dtype=np.intp)
-        pairs = pairs[(pairs[:, 1] < r) & (pairs[:, 0] < (r if lead is None else lead))].T.copy()
+        pairs = pairs[(pairs[:, 1] < r) & (pairs[:, 0] < lead)].T.copy()
         if pairs.size:
             pairs.flags.writeable = False
             rounds.append(tuple(pairs))
@@ -35,19 +37,20 @@ def _round_robin(r, lead=None):
     return tuple(rounds)
 
 
-def svd_jacobi_rows(X, R, tol, floor2, max_sweeps, lead=None):
+def svd_jacobi_rows(X, R, floor2, lead):
     # Orthogonalize the rows of X in place by plane rotations, accumulating
     # the same rotations in R (so original X = R.T @ final X). Rows whose
     # squared norm is at or below floor2 count as numerically zero and are
-    # left alone. A sweep visits every pair (with lead, each touching one of
-    # the first lead rows) once, in round-robin rounds of disjoint pairs.
-    # Returns the number of sweeps used; a sweep with no rotations converges,
-    # and NoConvergenceError is raised when the last allowed sweep still rotated.
+    # left alone. A sweep visits once, in round-robin rounds of disjoint pairs,
+    # every pair touching one of the first lead rows (all at lead = rows of X)
+    # and rotates it while |cos| > JACOBI_TOL. Returns the number of sweeps;
+    # a sweep with no rotations converges, and NoConvergenceError is raised
+    # when sweep JACOBI_MAX_SWEEPS still rotated.
     n = X.shape[1]
     XR = np.concatenate([X, R], axis=1)  # one gather/scatter rotates both
     rounds = _round_robin(X.shape[0], lead)
     sweeps = 0
-    for _sweep in range(max_sweeps):
+    for _sweep in range(JACOBI_MAX_SWEEPS):
         norms2 = np.einsum("ij,ij->i", XR[:, :n], XR[:, :n])
         rotated = 0
         for I, J in rounds:
@@ -57,7 +60,7 @@ def svd_jacobi_rows(X, R, tol, floor2, max_sweeps, lead=None):
             xj = XR[J]
             c = np.einsum("ij,ij->i", xi[:, :n], xj[:, :n])
             # |cos| > tol, with no product of squared norms to overflow or underflow
-            live = (np.minimum(a, b) > floor2) & (np.abs(c) > tol * np.sqrt(a) * np.sqrt(b))
+            live = (np.minimum(a, b) > floor2) & (np.abs(c) > JACOBI_TOL * np.sqrt(a) * np.sqrt(b))
             if not live.all():
                 if not live.any():
                     continue
@@ -77,7 +80,7 @@ def svd_jacobi_rows(X, R, tol, floor2, max_sweeps, lead=None):
         if rotated == 0:
             break
     else:
-        raise NoConvergenceError(f"Jacobi SVD: rotations left after {max_sweeps} sweeps")
+        raise NoConvergenceError(f"Jacobi SVD: rotations left after {JACOBI_MAX_SWEEPS} sweeps")
     X[:] = XR[:, :n]
     R[:] = XR[:, n:]
     return sweeps

@@ -35,8 +35,6 @@ from .errors import (
     NotSymmetricError,
 )
 
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 60
 _SAFE_EXP = 100  # inputs with max |entry| within 2**±100 keep their scale
 _SYM_TOL = 1e-10  # relative asymmetry eigh_sym accepts
 _RANK_REL_TOL = 1e-12  # relative singular value below which orthonormalize drops a direction
@@ -65,6 +63,18 @@ def pow2_scaled(A):
     return (np.ldexp(A, -e), e) if abs(e) > _SAFE_EXP else (A, 0)
 
 
+def pow2_unscaled(x, e, name):
+    """2**e * x, undoing pow2_scaled's exponent on a result x (x itself at
+    e = 0); NonFiniteError naming the quantity when that leaves the float range."""
+    if not e:
+        return x
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x, e)
+    if not np.isfinite(x).all():
+        raise NonFiniteError(f"{name} overflows the float range")
+    return x
+
+
 @dataclass
 class SvdResult:
     """Factors A ~= U @ diag(S) @ V.T with S nonincreasing and >= 0."""
@@ -80,7 +90,7 @@ def spectral_norm(A):
     A is not copied unless its scale needs rescaling."""
     A, e = pow2_scaled(as_matrix(A))
     G = A.T @ A if A.shape[0] > A.shape[1] else A @ A.T
-    return float(np.ldexp(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)), e))
+    return float(pow2_unscaled(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)), e, "sigma_1"))
 
 
 def _tiled_qr(M):
@@ -154,10 +164,10 @@ def _jacobi_svd(A, k):
     floor2 = (1e-15 * float(np.linalg.norm(X))) ** 2
     # polish only the k leading rows when the top-k eigenspace stands apart
     lead = k if 0 < k < r and lam[-k] - lam[-k - 1] > 1e-8 * lam[-1] else r
-    kernels.svd_jacobi_rows(X, R, _JACOBI_TOL, floor2, _JACOBI_MAX_SWEEPS, lead)
+    kernels.svd_jacobi_rows(X, R, floor2, lead)
     s = np.sqrt(np.einsum("ij,ij->i", X, X))
     order = np.argsort(-s, kind="stable")
-    S = np.ldexp(s[order], e)
+    S = pow2_unscaled(s[order], e, "sigma_1")
     if k == 0:
         return None, S, None
     short = np.ascontiguousarray(R[order[:k]].T)

@@ -43,6 +43,7 @@ from .linalg import (
     as_matrix,
     orthonormalize,
     pow2_scaled,
+    pow2_unscaled,
     singular_values,
     spectral_norm,
     svd_full,
@@ -201,7 +202,7 @@ class RankK:
         """||A||_2: sqrt(lambda_max(G)) on a wide A, else spectral_norm(A)."""
         G = self._gram()
         s = spectral_norm(self.A) if G is None else np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0))
-        return float(np.ldexp(s, self.e))
+        return float(pow2_unscaled(s, self.e, "sigma_1"))
 
     def approximate(self, method, q, oversample=0, seed=0):
         """Rank-k approximation of A by the engine `method`, one of APPROX_NAMES.
@@ -246,9 +247,9 @@ class RankK:
             err = _residual_norm(A, B, Q, self._gram())
         return RankKApprox(
             Q=Q,
-            B=np.ldexp(B, self.e) if self.e else B,
+            B=pow2_unscaled(B, self.e, "B"),
             q=q,
-            error2=float(np.ldexp(err, self.e)),
+            error2=float(pow2_unscaled(err, self.e, "error2")),
             seed_indices=idx,
             rank_collapsed=Q.shape[1] < k,
             timings=timings,
@@ -294,9 +295,11 @@ def bound_report(A, approx):
     approx.error2, so A must be the matrix approx was built from. When G_1
     is numerically singular the fields that depend on H = Z_2 Z_1^{-1} are
     left unset and singular_z1 is flagged; margin_bound is None when
-    rho <= 0.
+    rho <= 0. Everything runs on A pow2_scaled; the sigma-type fields are
+    scaled back by 2**e and quadratic_rhs by 2**(2e) (pow2_unscaled), so a
+    field outside the float range raises NonFiniteError naming it.
     """
-    A = as_matrix(A)
+    A, e = pow2_scaled(as_matrix(A))
     if approx.seed_indices is None:
         raise ValueError("bound_report requires an approximation with seed_indices")
     idx = np.asarray(approx.seed_indices)
@@ -349,23 +352,21 @@ def bound_report(A, approx):
             )
         hs1 = G21 * scale
         hs1_norm = spectral_norm(hs1) if hs1.size else 0.0
+        name = "bound_report: the quadratic bound's right-hand side"
         with np.errstate(over="ignore"):
-            quadratic_rhs = float(np.float64(hs1_norm) ** 2 + np.float64(sigma_k1) ** 2)
-        if quadratic_rhs == np.inf:
-            raise NonFiniteError("bound_report: the quadratic bound's right-hand side overflows")
+            rhs = np.float64(hs1_norm) ** 2 + np.float64(sigma_k1) ** 2
+        if rhs == np.inf:
+            raise NonFiniteError(f"{name} overflows the float range")
+        quadratic_rhs = float(pow2_unscaled(rhs, 2 * e, name))
 
     s_b = singular_values(approx.Q.T @ A)  # B = Q Q^T A has the same nonzero sigmas
     rank_b = int(np.sum(s_b > _RANK_B_REL * s_b[0])) if s_b[0] > 0 else 0
 
+    sigmas = dict(sigma_k=sigma_k, sigma_k1=sigma_k1, sigma_min_AI=sigma_min_ai, rho=rho,
+                  g1_min=g1_min, g2_max=g2_max, error_bound=err_bound, margin_bound=mrg_bound)
     return BoundReport(
-        sigma_k=sigma_k,
-        sigma_k1=sigma_k1,
-        sigma_min_AI=sigma_min_ai,
-        rho=rho,
-        g1_min=g1_min,
-        g2_max=g2_max,
-        error_bound=err_bound,
-        margin_bound=mrg_bound,
+        **{f: v if v is None else float(pow2_unscaled(v, e, f"bound_report: {f}"))
+           for f, v in sigmas.items()},
         quadratic_rhs=quadratic_rhs,
         achieved_error=approx.error2,
         rank_b=rank_b,

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatchError, NoConvergenceError, RankDeficientError
-from .linalg import as_matrix, eigh_sym
-from .spa import spa_select
+from .linalg import as_matrix, eigh_sym, pow2_scaled
 
 DEFAULT_EPS = 1e-6
 MAX_INNER_ITERS = 100_000
@@ -70,7 +69,7 @@ def solve_mvee(P, eps=DEFAULT_EPS):
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
     if m < k:
         raise RankDeficientError(f"need at least k={k} points, got {m}")
-    picks = spa_select(P, k)
+    picks = kernels.spa_core(pow2_scaled(P)[0], k)
 
     pts = np.ascontiguousarray(P.T)  # one point per row
     norms = np.einsum("ij,ij->i", pts, pts)
@@ -116,15 +115,10 @@ def solve_mvee(P, eps=DEFAULT_EPS):
     )
 
 
-def ellipsoid_support(L, P):
-    """Quadratic form p^T L p for every column p of P.
-
-    Accepts either an Ellipsoid or a bare k x k matrix.
-    """
-    Lm = L.L if isinstance(L, Ellipsoid) else np.asarray(L, dtype=np.float64)
+def ellipsoid_support(ell, P):
+    """Quadratic form p^T L p for every column p of P, with L = ell.L of an
+    Ellipsoid; 1 marks a point on its boundary."""
     P = as_matrix(P, "P")
-    if Lm.shape[0] != Lm.shape[1] or Lm.shape[0] != P.shape[0]:
-        raise DimensionMismatchError(
-            f"L is {Lm.shape} but points have dimension {P.shape[0]}"
-        )
-    return np.einsum("ij,ij->j", Lm @ P, P)
+    if ell.L.shape != (P.shape[0],) * 2:
+        raise DimensionMismatchError(f"L is {ell.L.shape} but points have dimension {P.shape[0]}")
+    return np.einsum("ij,ij->j", ell.L @ P, P)

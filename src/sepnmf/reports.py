@@ -1,21 +1,16 @@
-"""Experiment reports: per-run records plus recomputable aggregates.
+"""Experiment reports: per-run records, stage timing and the timing strip.
 
-Aggregates (mean/median/min/max per metric) are recomputed from the
-records whenever a report is written, so a report file cannot disagree
-with its own records. Every record carries the seed that reproduces it.
+A report holds its records (each carrying the seed that reproduces it),
+the method and its parameters, and the bound fields or error of the run.
 """
 
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import __version__
 from .io import write_json
 from .rng import RNG_NAME
-
-_AGG_KEYS = ("recovery_rate", "abs_error", "rel_error")
 
 
 @dataclass
@@ -27,26 +22,9 @@ class ExperimentReport:
     error: str | None = None
 
 
-def compute_aggregates(records):
-    out = {}
-    for key in _AGG_KEYS:
-        vals = [r[key] for r in records if r.get(key) is not None]
-        if not vals:
-            continue
-        arr = np.asarray(vals, dtype=np.float64)
-        out[key] = {
-            "mean": float(arr.mean()),
-            "median": float(np.median(arr)),
-            "min": float(arr.min()),
-            "max": float(arr.max()),
-        }
-    return out
-
-
 def write_report(path, report):
-    """Write report as JSON with its aggregates, the toolkit version and the RNG name."""
-    write_json(path, {**asdict(report), "aggregates": compute_aggregates(report.records),
-                      "toolkit_version": __version__, "rng_name": RNG_NAME})
+    """Write report as JSON with the toolkit version and the RNG name."""
+    write_json(path, {**asdict(report), "toolkit_version": __version__, "rng_name": RNG_NAME})
 
 
 @contextmanager

@@ -329,11 +329,27 @@ def test_spectral_norm_matches_lapack(name):
     assert abs(spectral_norm(A) - ref) <= 1e-9 * ref
 
 
+@pytest.mark.parametrize("f", [spectral_norm, singular_values, svd_full, lambda A: svd_truncated(A, 1)],
+                         ids=["spectral_norm", "singular_values", "svd_full", "svd_truncated"])
+def test_sigma_beyond_the_float_range_is_a_typed_error(f):
+    # every entry is finite, but sigma_1 = 1.7e308 * sqrt(240) is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="sigma_1 overflows the float range"):
+            f(np.full((8, 30), 1.7e308))
+
+
+def test_pow2_unscaled_returns_its_input_at_zero_exponent():
+    x = np.array([np.inf, 1.0])
+    assert linalg.pow2_unscaled(x, 0, "x") is x
+    assert np.array_equal(linalg.pow2_unscaled(x[1:], -1074, "x"), [2.0**-1074])
+
+
 @pytest.mark.parametrize("r", [7, 8])
 def test_jacobi_kernel_orthogonalizes_rows(r):
     X0 = _rand(40 + r, r, r)
     X, R = X0.copy(), np.eye(r)
-    sweeps = kernels.svd_jacobi_rows(X, R, 1e-14, 0.0, 60)
+    sweeps = kernels.svd_jacobi_rows(X, R, 0.0, r)
     assert 1 <= sweeps < 60
     G = X @ X.T
     n = np.sqrt(np.diag(G))
@@ -346,7 +362,7 @@ def test_round_robin_sweep_visits_every_pair_once(r):
     # a full sweep (every row polished) visits r(r-1)/2 pairs; a truncated SVD's
     # sweep visits only the pairs touching its leading rows (next test)
     pairs = []
-    for I, J in kernels._round_robin(r):
+    for I, J in kernels._round_robin(r, r):
         assert len(set(I) | set(J)) == 2 * I.size  # a round's pairs are disjoint
         pairs += zip(I.tolist(), J.tolist())
     assert sorted(pairs) == [(i, j) for i in range(r) for j in range(i + 1, r)]
@@ -359,9 +375,9 @@ def test_jacobi_sweep_cap_raises(monkeypatch):
     monkeypatch.setattr(kernels, "svd_jacobi_rows", lambda *a: sweeps.append(kernel(*a)) or sweeps[-1])
     svd_full(A)
     # the last sweep is the clean one: a cap of one fewer leaves rotations
-    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", sweeps[0])
+    monkeypatch.setattr(kernels, "JACOBI_MAX_SWEEPS", sweeps[0])
     svd_full(A)
-    monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", sweeps[0] - 1)
+    monkeypatch.setattr(kernels, "JACOBI_MAX_SWEEPS", sweeps[0] - 1)
     with pytest.raises(NoConvergenceError):
         svd_full(A)
 
@@ -374,7 +390,7 @@ def test_jacobi_kernel_orthogonalizes_rows_at_extreme_scales(j):
     X, R = X0.copy(), np.eye(6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sweeps = kernels.svd_jacobi_rows(X, R, 1e-14, 0.0, 60)
+        sweeps = kernels.svd_jacobi_rows(X, R, 0.0, 6)
         G = X @ X.T
     assert 2 <= sweeps < 60
     n = np.sqrt(np.diag(G))
@@ -435,7 +451,7 @@ def test_svd_truncated_tied_sigma_k_runs_the_full_sweep(monkeypatch):
     A[[0, 1, 2, 3], [5, 0, 3, 1]] = [2.0, 4.0, 1.0, 2.0]
     leads = []
     kernel = kernels.svd_jacobi_rows
-    monkeypatch.setattr(kernels, "svd_jacobi_rows", lambda *a: leads.append(a[5]) or kernel(*a))
+    monkeypatch.setattr(kernels, "svd_jacobi_rows", lambda *a: leads.append(a[3]) or kernel(*a))
     for k, lead in ((1, 1), (2, 4), (3, 3)):
         r = svd_truncated(A, k)
         assert leads.pop() == lead

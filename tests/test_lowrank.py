@@ -394,6 +394,37 @@ def test_bound_report_undoes_the_exponent(shape, seed, q, j):
     assert (got.rank_b, got.q, got.singular_z1) == (rep.rank_b, rep.q, rep.singular_z1)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_bound_report_on_subnormal_input_is_finite(k):
+    # 2**-1074 |N(0,1)| holds subnormal entries only (the rest round to 0):
+    # unscaled, 1 / sigma(G_1) overflowed
+    A = np.ldexp(np.abs(SplitMix64(0).normal_matrix(8, 30)), -1074)
+    for q in (0, 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = bound_report(A, spa_rank_approx(A, k, q))
+        fields = [v for v in vars(rep).values() if isinstance(v, float)]
+        assert np.isfinite(fields).all() and rep.sigma_k >= rep.sigma_k1 > 0.0
+
+
+def test_bound_report_beyond_the_float_range_names_the_field():
+    # every entry is finite, but sigma_1 and the squared roundoff sigma_2**2 are not
+    A = np.full((8, 30), 1.7e308)
+    for q in (0, 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ap = spa_rank_approx(A, 1, q)
+            with pytest.raises(NonFiniteError, match="^bound_report: .* overflows the float range$"):
+                bound_report(A, ap)
+
+
+def test_norm2_beyond_the_float_range_is_a_typed_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="sigma_1 overflows the float range"):
+            lowrank.RankK(np.full((8, 30), 1.7e308), 1).norm2()
+
+
 def test_bound_report_overflow_is_a_typed_error():
     # sigma_2 is roundoff of the 1e300 column, about 1e284: its square overflows
     A = SplitMix64(0).uniform(6 * 23).reshape(6, 23)

@@ -207,12 +207,17 @@ class TestInvariances:
         assert np.abs(e.weights - base.weights[perm]).max() <= 1e-9
 
 
+def _ellipsoid(L):
+    return Ellipsoid(L=L, weights=np.array([1.0]), support=np.array([0]), max_violation=0.0,
+                     iterations=0)
+
+
 class TestSupportValues:
     def test_identity_form(self):
-        assert ellipsoid_support(np.eye(2), np.array([[1.0], [0.0]]))[0] == 1.0
+        assert ellipsoid_support(_ellipsoid(np.eye(2)), np.array([[1.0], [0.0]]))[0] == 1.0
 
     def test_boundary_point(self):
-        v = ellipsoid_support(np.diag([1.0, 0.25]), np.array([[0.0], [2.0]]))
+        v = ellipsoid_support(_ellipsoid(np.diag([1.0, 0.25])), np.array([[0.0], [2.0]]))
         assert v[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_direct_evaluation(self):
@@ -220,7 +225,7 @@ class TestSupportValues:
         G = r.normal_matrix(4, 4)
         L = G @ G.T + np.eye(4)
         P = r.normal_matrix(4, 30)
-        vals = ellipsoid_support(L, P)
+        vals = ellipsoid_support(_ellipsoid(L), P)
         want = np.array([P[:, i] @ L @ P[:, i] for i in range(30)])
         assert np.abs(vals - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
@@ -233,16 +238,9 @@ class TestSupportValues:
         Q = np.linalg.qr(r.normal_matrix(k, k))[0]
         L = (Q * np.logspace(0.0, -log_cond, k)) @ Q.T
         P = r.normal_matrix(k, m)
-        err = np.abs(ellipsoid_support(L, P) - quadratic_forms(P, L))
+        err = np.abs(ellipsoid_support(_ellipsoid(L), P) - quadratic_forms(P, L))
         assert (err <= 4 * k * np.finfo(float).eps * quadratic_forms(np.abs(P), np.abs(L))).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            ellipsoid_support(np.eye(3), np.ones((2, 5)))
-
-    def test_accepts_ellipsoid_object(self):
-        e = Ellipsoid(
-            L=np.eye(2), weights=np.array([1.0]), support=np.array([0]),
-            max_violation=0.0, iterations=0,
-        )
-        assert ellipsoid_support(e, np.array([[1.0], [0.0]]))[0] == 1.0
+            ellipsoid_support(_ellipsoid(np.eye(3)), np.ones((2, 5)))
